@@ -35,7 +35,7 @@ from plapopt.measure import (
 )
 from plapopt.energy import EnergyContext
 from plapopt.torsion import torsion
-from plapopt.spectrum import SolverOptions, eigen_minimax
+from plapopt.spectrum import M_MAX_LIMIT, SolverOptions, eigen_minimax
 from plapopt.gamma import blocked_limit_sequence, lsc_check, usc_check, \
     psi_lsc_check
 from plapopt.optimize import (
@@ -170,7 +170,11 @@ def _parse_density(grid: GridSpec, raw) -> np.ndarray:
 def _parse_atoms(raw) -> tuple:
     if raw is None:
         return ()
-    return tuple((int(n), float(m)) for n, m in raw)
+    try:
+        return tuple((int(n), float(m)) for n, m in raw)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"atoms must be a list of [node, mass] pairs: {exc}") from exc
 
 
 def _parse_measure(grid: GridSpec, spec: dict) -> CapacitaryMeasure:
@@ -214,9 +218,14 @@ def _parse_psi(spec: dict | None) -> PsiSpec:
 
 def _parse_solver_options(spec: dict | None) -> tuple[SolverOptions, int]:
     spec = dict(spec or {})
-    m_max = int(spec.pop("m_max", 4))
     defaults = SolverOptions()
-    kwargs = {k: type(getattr(defaults, k))(v) for k, v in spec.items()}
+    try:
+        m_max = int(spec.pop("m_max", 4))
+        kwargs = {k: type(getattr(defaults, k))(v) for k, v in spec.items()}
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"solver: {exc}") from exc
+    if not 1 <= m_max <= M_MAX_LIMIT:
+        raise ValidationError(f"solver: m_max must be in 1..{M_MAX_LIMIT}")
     return SolverOptions(**kwargs), m_max
 
 
@@ -369,6 +378,7 @@ def run_solve(config: dict, out: Path, seed: int, timings: dict) -> int:
     t0 = time.perf_counter()
     result = eigen_minimax(ctx, m_max, seed=seed, options=opts)
     timings["solve"] = time.perf_counter() - t0
+    out.mkdir(parents=True, exist_ok=True)
     payload = {"version": __version__, "subcommand": "solve",
                "p": grid.p, **_spectral_payload(result)}
     write_json(out / "results.json", payload)
@@ -384,6 +394,7 @@ def run_torsion(config: dict, out: Path, seed: int, timings: dict) -> int:
     t0 = time.perf_counter()
     w, report = torsion(mu)
     timings["torsion"] = time.perf_counter() - t0
+    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": __version__, "subcommand": "torsion",
         "max_w": float(w.values.max()) if w.values.size else 0.0,
@@ -440,6 +451,7 @@ def run_gamma_diag(config: dict, out: Path, seed: int, timings: dict) -> int:
                                    seed=seed, options=opts)
     reports["psi_lsc"] = psi_lsc_check(seq, psi, slack=slack, tail=tail)
     timings["gamma"] = time.perf_counter() - t0
+    out.mkdir(parents=True, exist_ok=True)
 
     payload = {"version": __version__, "subcommand": "gamma-diag",
                "s_values": s_values,
@@ -473,6 +485,7 @@ def run_optimize_potential(config: dict, out: Path, seed: int,
     except InfeasibleConstraint as exc:
         raise ValidationError(f"constraint: {exc}") from exc
     timings["optimize"] = time.perf_counter() - t0
+    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": __version__, "subcommand": "optimize-potential",
         "objective": result.objective,
@@ -508,6 +521,7 @@ def run_optimize_set(config: dict, out: Path, seed: int,
     except InfeasibleConstraint as exc:
         raise ValidationError(f"constraint: {exc}") from exc
     timings["optimize"] = time.perf_counter() - t0
+    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": __version__, "subcommand": "optimize-set",
         "objective": result.objective,
@@ -579,7 +593,7 @@ def main(argv=None) -> int:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        # runners create out only after their inputs validate
         code = _RUNNERS[args.subcommand](config, out, seed, timings)
     except ValidationError as exc:
         say(f"error: {exc}")

@@ -12,18 +12,15 @@ f'(u) = lambda (g1'(u) - g2'(u)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from plapopt.grid import (
-    GridSpec,
-    Field,
-    anchor_values,
-    blocked_adjacent_nodes,
-    discrete_gradient,
-)
+from plapopt import operators
+from plapopt.grid import GridSpec, Field, blocked_adjacent_nodes
 from plapopt.measure import CapacitaryMeasure, WeightPair
 
 
@@ -74,10 +71,143 @@ class EnergyContext:
     def feasibility_tol(self, g1_value: float) -> float:
         return 1e-12 * max(abs(g1_value), 1e-300)
 
+    @functools.cached_property
+    def _rows(self) -> _Rows:
+        return _rows_of(self)
+
 
 def _check_grid(ctx: EnergyContext, u: Field):
     if u.grid != ctx.grid:
         raise ValueError("field grid mismatch")
+
+
+def _check_which(which: int):
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+
+
+class _Rows(NamedTuple):
+    """A context's measure data in the row layout of its energy map K.
+
+    y = K x stacks n_grad per-axis cell gradients, then the measure rows:
+    the cell anchor values and the values under the atoms of mu and of
+    nu1.  Each of f, g1 and g2 integrates |y|^p / p over the measure rows
+    with the weights below; f adds the p-Dirichlet term over kept cells.
+    """
+
+    n_grad: int
+    vol: float
+    keep: np.ndarray
+    f: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+
+
+def _rows_of(ctx: EnergyContext) -> _Rows:
+    grid, mu, weights = ctx.grid, ctx.mu, ctx.weights
+    vol = grid.cell_volume
+    n_mu, n_w1 = len(mu.atoms), len(weights.w1_atoms)
+    masses = lambda atoms: [mass for _, mass in atoms]
+    rows = _Rows(
+        grid.dim * grid.n_cells, vol,
+        operators.kept_cells(mu).astype(float),
+        np.concatenate([vol * mu.density.reshape(-1), masses(mu.atoms),
+                        np.zeros(n_w1)]),
+        np.concatenate([vol * weights.w1.reshape(-1), np.zeros(n_mu),
+                        masses(weights.w1_atoms)]),
+        np.concatenate([vol * weights.w2.reshape(-1),
+                        np.zeros(n_mu + n_w1)]))
+    for arr in rows[2:]:
+        arr.setflags(write=False)
+    return rows
+
+
+class _Parts(NamedTuple):
+    """f, g1 and g2 at y = K x with the weights of their gradients.
+
+    The gradient of f in the unknowns x is K^T df.  g1 and g2 only see
+    the measure rows, so their gradients are K[n_grad:]^T dg1 and dg2.
+    """
+
+    f: float
+    g1: float
+    g2: float
+    df: np.ndarray
+    dg1: np.ndarray
+    dg2: np.ndarray
+
+
+def _energy_map(ctx: EnergyContext):
+    return operators.energy_map(ctx.grid, ctx.mu.atoms, ctx.weights.w1_atoms)
+
+
+def _odd(x, p: float):
+    """sign(x) |x|^(p-1), the derivative of |x|^p / p."""
+    return np.sign(x) * np.abs(x) ** (p - 1.0)
+
+
+def _grad_weights(p: float, s: np.ndarray, eps: float, keep: np.ndarray):
+    """Smoothed |grad|^2 and |grad|^(p-2) per cell from s = |grad|^2.
+
+    For p < 2, t = s + eps stands in for s; elsewhere t = s.  keep is 1.0
+    on kept cells and 0.0 on blocked ones; blocked cells and cells with
+    t = 0 get weight 0.  The Hessian block of a cell is
+    w I + (p - 2) (w / t) g g^T.
+    """
+    t = s + eps if p < 2.0 else s
+    if p == 2.0:
+        return t, keep
+    if p > 2.0:
+        return t, keep * t ** ((p - 2.0) / 2.0)
+    w = np.zeros_like(t)
+    pos = t > 0
+    w[pos] = t[pos] ** ((p - 2.0) / 2.0)
+    return t, keep * w
+
+
+def _kernel(ctx: EnergyContext, y: np.ndarray, eps: float,
+            smooth_f: bool = False) -> _Parts:
+    """f, g1, g2 and their gradient weights from y = K x in one pass.
+
+    For p < 2, eps smooths |grad|^2 in the gradient weights (see
+    _grad_weights); the value of f stays exact unless smooth_f asks for
+    the smoothed energy that those weights differentiate.
+    """
+    rows = ctx._rows
+    p = ctx.grid.p
+    grads = y[:rows.n_grad].reshape(ctx.grid.dim, -1)
+    meas = y[rows.n_grad:]
+    s = (grads * grads).sum(axis=0)
+    t, w = _grad_weights(p, s, eps, rows.keep)
+    if smooth_f or t is s:
+        dirichlet = w @ t                   # t^(p/2) = t^((p-2)/2) t
+    else:
+        dirichlet = rows.keep @ s ** (p / 2.0)
+    odd = _odd(meas, p)
+    dmeas = rows.f * odd
+    dg1 = rows.g1 * odd
+    dg2 = rows.g2 * odd
+    # |y|^p = y sign(y) |y|^(p-1): each measure term is <meas, weights>
+    f = rows.vol * float(dirichlet) + float(dmeas @ meas)
+    df = np.concatenate(((rows.vol * w * grads).reshape(-1), dmeas))
+    return _Parts(f / p, float(dg1 @ meas) / p, float(dg2 @ meas) / p,
+                  df, dg1, dg2)
+
+
+def _field_parts(ctx: EnergyContext, u: Field) -> _Parts:
+    _check_grid(ctx, u)
+    return _kernel(ctx, _energy_map(ctx) @ u.flat, ctx.eps_reg)
+
+
+def _node_gradient(ctx: EnergyContext, weights: np.ndarray) -> Field:
+    """K^T weights as a field, projected onto the Dirichlet subspace."""
+    return Field(ctx.grid,
+                 ctx.project_dirichlet(_energy_map(ctx).T @ weights))
+
+
+def _on_all_rows(ctx: EnergyContext, dg: np.ndarray) -> np.ndarray:
+    """Weights given on the measure rows, padded with zero gradient rows."""
+    return np.concatenate((np.zeros(ctx._rows.n_grad), dg))
 
 
 def f_energy(ctx: EnergyContext, u: Field) -> float:
@@ -89,61 +219,26 @@ def f_energy(ctx: EnergyContext, u: Field) -> float:
     _check_grid(ctx, u)
     if ctx.violates_dirichlet(u):
         return math.inf
-    p = ctx.p
-    grad = discrete_gradient(u)
-    grad_term = (np.sum(grad * grad, axis=-1) ** (p / 2)).sum()
-    anch = anchor_values(ctx.grid, u.values)
-    dens_term = (ctx.mu.density * np.abs(anch) ** p).sum()
-    total = ctx.grid.cell_volume * (grad_term + dens_term)
-    flat = u.flat
-    for node, mass in ctx.mu.atoms:
-        total += mass * abs(flat[node]) ** p
-    return total / p
+    return _field_parts(ctx, u).f
 
 
 def g_energy(ctx: EnergyContext, u: Field, which: int) -> float:
     """(1/p) integral |u|^p dnu_j for j = 1 or 2."""
-    _check_grid(ctx, u)
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    p = ctx.p
-    w = ctx.weights.w1 if which == 1 else ctx.weights.w2
-    anch = anchor_values(ctx.grid, u.values)
-    total = ctx.grid.cell_volume * (w * np.abs(anch) ** p).sum()
-    if which == 1:
-        flat = u.flat
-        for node, mass in ctx.weights.w1_atoms:
-            total += mass * abs(flat[node]) ** p
-    return total / p
+    _check_which(which)
+    parts = _field_parts(ctx, u)
+    return parts.g1 if which == 1 else parts.g2
 
 
 def rayleigh(ctx: EnergyContext, u: Field) -> float:
     """f(u) / (g1(u) - g2(u)) on the feasible cone; 0-homogeneous."""
-    g1 = g_energy(ctx, u, 1)
-    g2 = g_energy(ctx, u, 2)
-    denom = g1 - g2
-    if denom <= ctx.feasibility_tol(g1):
+    parts = _field_parts(ctx, u)
+    denom = parts.g1 - parts.g2
+    if denom <= ctx.feasibility_tol(parts.g1):
         raise ConstraintViolation(
             f"constraint violated: g1 - g2 = {denom:.3e} <= tolerance")
-    f = f_energy(ctx, u)
-    if math.isinf(f):
+    if ctx.violates_dirichlet(u):
         return math.inf
-    return f / denom
-
-
-def _grad_weights(ctx: EnergyContext, grad: np.ndarray) -> np.ndarray:
-    """|grad|^(p-2) per cell, regularized for p < 2 at vanishing gradients."""
-    p = ctx.p
-    s = np.sum(grad * grad, axis=-1)
-    if p == 2.0:
-        return np.ones_like(s)
-    if p > 2.0:
-        return s ** ((p - 2.0) / 2.0)
-    s_reg = s + ctx.eps_reg
-    out = np.zeros_like(s)
-    pos = s_reg > 0
-    out[pos] = s_reg[pos] ** ((p - 2.0) / 2.0)
-    return out
+    return parts.f / denom
 
 
 def energy_gradient(ctx: EnergyContext, u: Field) -> Field:
@@ -152,72 +247,15 @@ def energy_gradient(ctx: EnergyContext, u: Field) -> Field:
     Satisfies the Euler identity <grad, u> = p f(u) exactly when
     eps_reg = 0.
     """
-    _check_grid(ctx, u)
-    grid = ctx.grid
-    p = ctx.p
-    grad = discrete_gradient(u)
-    wcell = _grad_weights(ctx, grad)
-    wcell = np.where(ctx.mu.blocked, 0.0, wcell)
-    flux = grad * wcell[..., None] * grid.cell_volume
-    out = _scatter_gradient(grid, flux)
-    anch = anchor_values(grid, u.values)
-    dens = grid.cell_volume * ctx.mu.density * _odd_power(anch, p)
-    out += _scatter_anchor(grid, dens)
-    flat = out.reshape(-1)
-    uflat = u.flat
-    for node, mass in ctx.mu.atoms:
-        flat[node] += mass * _odd_power(uflat[node], p)
-    return Field(grid, ctx.project_dirichlet(out))
+    return _node_gradient(ctx, _field_parts(ctx, u).df)
 
 
 def g_gradient(ctx: EnergyContext, u: Field, which: int) -> Field:
     """Gradient of g_j at u, projected like the energy gradient."""
-    _check_grid(ctx, u)
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    grid = ctx.grid
-    p = ctx.p
-    w = ctx.weights.w1 if which == 1 else ctx.weights.w2
-    anch = anchor_values(grid, u.values)
-    dens = grid.cell_volume * w * _odd_power(anch, p)
-    out = _scatter_anchor(grid, dens)
-    if which == 1:
-        flat = out.reshape(-1)
-        uflat = u.flat
-        for node, mass in ctx.weights.w1_atoms:
-            flat[node] += mass * _odd_power(uflat[node], p)
-    return Field(grid, ctx.project_dirichlet(out))
-
-
-def _odd_power(x, p: float):
-    """sign(x) |x|^(p-1), the derivative of |x|^p / p."""
-    return np.sign(x) * np.abs(x) ** (p - 1.0)
-
-
-def _scatter_gradient(grid: GridSpec, flux: np.ndarray) -> np.ndarray:
-    """Adjoint of the forward-difference map: cells x dim -> nodes."""
-    shape_pad = tuple(grid.n + 1 for _ in range(grid.dim))
-    acc = np.zeros(shape_pad)
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        comp = flux[..., a] / h
-        hi = [slice(0, grid.n)] * grid.dim
-        hi[a] = slice(1, grid.n + 1)
-        lo = [slice(0, grid.n)] * grid.dim
-        acc[tuple(hi)] += comp
-        acc[tuple(lo)] -= comp
-    inner = tuple(slice(1, grid.n) for _ in range(grid.dim))
-    return acc[inner].copy()
-
-
-def _scatter_anchor(grid: GridSpec, dens: np.ndarray) -> np.ndarray:
-    """Adjoint of the anchor selection: per-cell values back to nodes."""
-    shape_pad = tuple(grid.n + 1 for _ in range(grid.dim))
-    acc = np.zeros(shape_pad)
-    lo = tuple(slice(0, grid.n) for _ in range(grid.dim))
-    acc[lo] += dens
-    inner = tuple(slice(1, grid.n) for _ in range(grid.dim))
-    return acc[inner].copy()
+    _check_which(which)
+    parts = _field_parts(ctx, u)
+    dg = parts.dg1 if which == 1 else parts.dg2
+    return _node_gradient(ctx, _on_all_rows(ctx, dg))
 
 
 def dual_norm(ctx: EnergyContext, r: np.ndarray) -> float:
@@ -235,11 +273,9 @@ def residual(ctx: EnergyContext, u: Field, lam: float) -> float:
     Zero exactly when (u, lambda) solves the discrete eigen-equation on
     the feasible cone.
     """
-    g1 = g_energy(ctx, u, 1)
-    g2 = g_energy(ctx, u, 2)
-    if g1 - g2 <= ctx.feasibility_tol(g1):
+    parts = _field_parts(ctx, u)
+    if parts.g1 - parts.g2 <= ctx.feasibility_tol(parts.g1):
         raise ConstraintViolation("residual needs a feasible field")
-    r = (energy_gradient(ctx, u).values
-         - lam * (g_gradient(ctx, u, 1).values
-                  - g_gradient(ctx, u, 2).values))
-    return dual_norm(ctx, r)
+    r = _node_gradient(
+        ctx, parts.df - lam * _on_all_rows(ctx, parts.dg1 - parts.dg2))
+    return dual_norm(ctx, r.values)

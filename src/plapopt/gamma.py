@@ -31,7 +31,7 @@ from plapopt.measure import (
     psi_volume,
 )
 from plapopt.energy import EnergyContext
-from plapopt.torsion import gamma_distance
+from plapopt.torsion import field_distance_p, torsion
 from plapopt.spectrum import eigen_minimax, SolverOptions
 
 DEFAULT_SLACK = 1e-3
@@ -124,8 +124,17 @@ def _lambda_of(mu: CapacitaryMeasure, weights: WeightPair, m: int,
     return result.value(m), result.status_of(m)
 
 
+def _solved_torsion(mu: CapacitaryMeasure):
+    w, report = torsion(mu)
+    if not report.converged:
+        raise RuntimeError("torsion solver did not converge")
+    return w
+
+
 def _distances(seq: MeasureSequence, members) -> list[float]:
-    return [gamma_distance(mu, seq.limit) for mu in members]
+    """gamma_distance of each member to the limit, solving the limit once."""
+    w_limit = _solved_torsion(seq.limit)
+    return [field_distance_p(_solved_torsion(mu), w_limit) for mu in members]
 
 
 def _distances_converge(distances: list[float], slack: float) -> bool:

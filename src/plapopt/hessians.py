@@ -4,7 +4,9 @@ Used by the Newton refinements: the p-Dirichlet term contributes
 G^T D G with a per-cell d x d block |g|^(p-2) I + (p-2)|g|^(p-4) g g^T,
 positive semidefinite for every p > 1; density and atom terms contribute
 diagonals (p-1) w |u|^(p-2).  Negative powers of |u| are clamped so the
-Newton model stays bounded near zeros of the field.
+Newton model stays bounded near zeros of the field.  Each Hessian is
+K^T M K for the restricted energy map K and a weight matrix M laid out
+like its rows.
 """
 
 from __future__ import annotations
@@ -12,10 +14,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from plapopt.grid import anchor_values, discrete_gradient
-from plapopt.energy import EnergyContext
+from plapopt.energy import EnergyContext, _energy_map, _grad_weights
 from plapopt.grid import Field
-from plapopt import operators
 
 POWER_CLAMP = 1e14
 
@@ -33,58 +33,50 @@ def abs_pow(x, q):
     return x ** q
 
 
+def _sandwich(K, idx: np.ndarray, entries) -> sp.spmatrix:
+    """K[:, idx]^T M K[:, idx], M given by (rows, cols, values) triples."""
+    rows, cols, vals = (np.concatenate(z) for z in zip(*entries))
+    M = sp.csr_matrix((vals, (rows, cols)), shape=(K.shape[0],) * 2)
+    Kf = K[:, idx]
+    return Kf.T @ (M @ Kf)
+
+
+def _measure_diagonal(ctx: EnergyContext, y: np.ndarray, coef: np.ndarray):
+    """Second derivative of sum coef |y|^p / p over the measure rows."""
+    n_grad = ctx._rows.n_grad
+    r = np.arange(n_grad, y.size)
+    return r, r, (ctx.p - 1.0) * coef * abs_pow(y[n_grad:], ctx.p - 2.0)
+
+
 def hessian_f(ctx: EnergyContext, u: Field, idx: np.ndarray) -> sp.spmatrix:
     """Hessian of the measure energy f at u, restricted to free nodes."""
     grid = ctx.grid
     p = ctx.p
-    vol = grid.cell_volume
-    grad = discrete_gradient(u)
-    s = np.sum(grad * grad, axis=-1)
-    if p != 2.0:
-        s = s + ctx.eps_reg
-    keep = (~ctx.mu.blocked).reshape(-1).astype(float)
-    Gs = [G[:, idx] for G in operators.gradient_ops(grid)]
-    w = (np.where(s > 0, s, 1.0) ** ((p - 2.0) / 2.0)) * (s > 0)
-    w = w.reshape(-1) * keep
-    H = sp.csr_matrix((idx.size, idx.size))
+    rows = ctx._rows
+    K = _energy_map(ctx)
+    y = K @ u.flat
+    nc = grid.n_cells
+    grads = y[:rows.n_grad].reshape(grid.dim, nc)
+    t, w = _grad_weights(p, (grads * grads).sum(axis=0), ctx.eps_reg,
+                         rows.keep)
+    entries = [_measure_diagonal(ctx, y, rows.f)]
+    cells = np.arange(nc)
+    w_outer = (p - 2.0) * np.divide(w, t, out=np.zeros_like(w), where=t > 0)
     for a in range(grid.dim):
-        H = H + vol * (Gs[a].T @ sp.diags(w) @ Gs[a])
-    if p != 2.0:
-        w2 = (np.where(s > 0, s, 1.0) ** ((p - 4.0) / 2.0)) * (s > 0)
-        w2 = w2.reshape(-1) * keep
-        gflat = grad.reshape(-1, grid.dim)
-        for a in range(grid.dim):
-            for bax in range(grid.dim):
-                dab = (p - 2.0) * w2 * gflat[:, a] * gflat[:, bax]
-                H = H + vol * (Gs[a].T @ sp.diags(dab) @ Gs[bax])
-    anch = anchor_values(grid, u.values).reshape(-1)
-    A = operators.anchor_op(grid)[:, idx]
-    dmass = (p - 1.0) * vol * ctx.mu.density.reshape(-1) * abs_pow(anch, p - 2.0)
-    H = H + A.T @ sp.diags(dmass) @ A
-    H = H + _atom_diag(ctx.mu.atoms, u, idx, p)
-    return H
+        for b in range(grid.dim):
+            block = rows.vol * w_outer * grads[a] * grads[b]
+            if a == b:
+                block += rows.vol * w
+            elif p == 2.0:
+                continue
+            entries.append((a * nc + cells, b * nc + cells, block))
+    return _sandwich(K, idx, entries)
 
 
 def hessian_g_diff(ctx: EnergyContext, u: Field,
                    idx: np.ndarray) -> sp.spmatrix:
     """Hessian of g1 - g2 at u, restricted to free nodes."""
-    grid = ctx.grid
-    p = ctx.p
-    vol = grid.cell_volume
-    anch = anchor_values(grid, u.values).reshape(-1)
-    A = operators.anchor_op(grid)[:, idx]
-    w = (ctx.weights.w1 - ctx.weights.w2).reshape(-1)
-    H = A.T @ sp.diags((p - 1.0) * vol * w * abs_pow(anch, p - 2.0)) @ A
-    return H + _atom_diag(ctx.weights.w1_atoms, u, idx, p)
-
-
-def _atom_diag(atoms, u: Field, idx: np.ndarray, p: float) -> sp.spmatrix:
-    diag = np.zeros(idx.size)
-    if atoms:
-        pos = {int(n): i for i, n in enumerate(idx)}
-        uflat = u.flat
-        for node, mass in atoms:
-            if node in pos:
-                diag[pos[node]] += (p - 1.0) * mass * abs_pow(
-                    uflat[node], p - 2.0)
-    return sp.diags(diag)
+    K = _energy_map(ctx)
+    rows = ctx._rows
+    return _sandwich(K, idx, [_measure_diagonal(ctx, K @ u.flat,
+                                                rows.g1 - rows.g2)])

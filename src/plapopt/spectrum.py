@@ -28,16 +28,19 @@ from plapopt.measure import CapacitaryMeasure, WeightPair
 from plapopt.energy import (
     EnergyContext,
     ConstraintViolation,
-    f_energy,
-    g_energy,
+    _energy_map,
+    _field_parts,
+    _kernel,
+    _node_gradient,
+    _on_all_rows,
     rayleigh,
-    energy_gradient,
-    g_gradient,
     residual,
     dual_norm,
 )
 from plapopt import operators
 from plapopt import hessians
+from plapopt.operators import _embed
+from plapopt.solvers import bb_minimize
 
 M_MAX_LIMIT = 6
 DENSE_DOF_LIMIT = 1400
@@ -171,15 +174,10 @@ def _sparse_smallest(A, B, k: int):
     return list(vals[order]), vecs[:, order]
 
 
-def _embed(grid: GridSpec, idx: np.ndarray, x: np.ndarray) -> Field:
-    values = np.zeros(grid.n_nodes)
-    values[idx] = x
-    return Field(grid, values)
-
-
 def _normalize(ctx: EnergyContext, u: Field) -> Field:
     """Scale so that g1(u) - g2(u) = 1."""
-    denom = g_energy(ctx, u, 1) - g_energy(ctx, u, 2)
+    parts = _field_parts(ctx, u)
+    denom = parts.g1 - parts.g2
     if denom <= 0:
         raise ConstraintViolation("cannot normalize an infeasible field")
     return Field(ctx.grid, u.values / denom ** (1.0 / ctx.p))
@@ -205,93 +203,48 @@ def _starts(m: int, n_starts: int, rng: np.random.Generator) -> list[np.ndarray]
 
 
 class _SubspaceEval:
-    """Restriction of f, g1, g2 to an m-dimensional subspace.
+    """f, g1, g2 and the Rayleigh ratio as functions of coordinates x.
 
-    Precomputes the gradient, anchor and atom operators applied to the
-    basis so every coefficient-space evaluation is a handful of small
-    matrix products; numerically identical to the field-based energies.
+    The field is u = M x for a fixed linear map M: the transposed basis
+    of a subspace candidate (x are its coefficients) or the embedding of
+    the free nodes.  The energy kernel runs on (K M) x and the gradients
+    map back through (K M)^T, so every evaluation is one small matrix
+    product each way.
     """
 
-    def __init__(self, ctx: EnergyContext, cand: SubspaceCandidate):
-        grid = ctx.grid
+    def __init__(self, ctx: EnergyContext, KM, violates: bool = False):
         self.ctx = ctx
-        self.p = ctx.p
-        self.vol = grid.cell_volume
+        self.KM = KM
+        self.KM_meas = KM[ctx._rows.n_grad:]
+        self.m = KM.shape[1]
+        self.violates = violates
+
+    @classmethod
+    def of_candidate(cls, ctx: EnergyContext, cand: SubspaceCandidate):
         V = cand.matrix()                      # (m, n_nodes)
-        self.m = V.shape[0]
-        self.G = [Gop @ V.T for Gop in operators.gradient_ops(grid)]
-        self.A = operators.anchor_op(grid) @ V.T   # (n_cells, m)
-        self.keep = (~ctx.mu.blocked).reshape(-1)
-        self.dens = ctx.mu.density.reshape(-1)
-        self.w1 = ctx.weights.w1.reshape(-1)
-        self.w2 = ctx.weights.w2.reshape(-1)
-        self.mu_atoms = [(V[:, n], mass) for n, mass in ctx.mu.atoms]
-        self.w1_atoms = [(V[:, n], mass) for n, mass in ctx.weights.w1_atoms]
         badj = ctx.blocked_adjacent().reshape(-1)
-        self.violates = bool(np.any(V[:, badj] != 0.0))
+        return cls(ctx, _energy_map(ctx) @ V.T,
+                   bool(np.any(V[:, badj] != 0.0)))
 
-    def _parts(self, xi):
-        gc = [Ga @ xi for Ga in self.G]        # per-axis cell gradients
-        s = sum(g * g for g in gc)
-        av = self.A @ xi
-        return gc, s, av
+    def parts(self, x):
+        return _kernel(self.ctx, self.KM @ x, self.ctx.eps_reg)
 
-    def denominators(self, xi):
-        _, _, av = self._parts(xi)
-        p = self.p
-        g1 = self.vol * float(self.w1 @ np.abs(av) ** p)
-        g2 = self.vol * float(self.w2 @ np.abs(av) ** p)
-        for row, mass in self.w1_atoms:
-            g1 += mass * abs(float(row @ xi)) ** p
-        return g1 / p, g2 / p
+    def denom_grad(self, x):
+        parts = self.parts(x)
+        return parts.g1 - parts.g2, (parts.dg1 - parts.dg2) @ self.KM_meas
 
-    def denom_grad(self, xi):
-        _, _, av = self._parts(xi)
-        p = self.p
-        odd = np.sign(av) * np.abs(av) ** (p - 1.0)
-        g1 = self.vol * float(self.w1 @ np.abs(av) ** p) / p
-        g2 = self.vol * float(self.w2 @ np.abs(av) ** p) / p
-        grad = self.vol * (self.A.T @ ((self.w1 - self.w2) * odd))
-        for row, mass in self.w1_atoms:
-            uval = float(row @ xi)
-            g1 += mass * abs(uval) ** p / p
-            grad += mass * np.sign(uval) * abs(uval) ** (p - 1.0) * row
-        return g1 - g2, grad
-
-    def ratio_grad(self, xi):
+    def ratio_grad(self, x):
         """(value, gradient) of f/(g1-g2); (inf, None) off the cone."""
         if self.violates:
             return math.inf, None
-        gc, s, av = self._parts(xi)
-        p = self.p
-        g1, g2 = self.denominators(xi)
-        denom = g1 - g2
-        if denom <= self.ctx.feasibility_tol(g1):
+        parts = self.parts(x)
+        denom = parts.g1 - parts.g2
+        if denom <= self.ctx.feasibility_tol(parts.g1):
             return math.inf, None
-        skeep = np.where(self.keep, s, 0.0)
-        f = self.vol * float((skeep ** (p / 2.0)).sum())
-        f += self.vol * float(self.dens @ np.abs(av) ** p)
-        for row, mass in self.mu_atoms:
-            f += mass * abs(float(row @ xi)) ** p
-        f /= p
-        val = f / denom
-        # gradient of f
-        if p == 2.0:
-            w = np.ones_like(s)
-        elif p > 2.0:
-            w = skeep ** ((p - 2.0) / 2.0)
-        else:
-            sr = skeep + self.ctx.eps_reg
-            w = np.where(sr > 0, sr ** ((p - 2.0) / 2.0), 0.0)
-        w = np.where(self.keep, w, 0.0)
-        gf = sum(Ga.T @ (w * g) for Ga, g in zip(self.G, gc)) * self.vol
-        odd = np.sign(av) * np.abs(av) ** (p - 1.0)
-        gf += self.vol * (self.A.T @ (self.dens * odd))
-        for row, mass in self.mu_atoms:
-            uval = float(row @ xi)
-            gf += mass * np.sign(uval) * abs(uval) ** (p - 1.0) * row
-        _, gdiff = self.denom_grad(xi)
-        return val, (gf - val * gdiff) / denom
+        val = parts.f / denom
+        grad = (parts.df @ self.KM
+                - val * ((parts.dg1 - parts.dg2) @ self.KM_meas))
+        return val, grad / denom
 
 
 def _sphere_min_denominator(ev: _SubspaceEval, starts) -> float:
@@ -364,7 +317,6 @@ def _sup_general(ev: _SubspaceEval, starts, opts: SolverOptions):
 def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
                   seed: int = 0,
                   options: SolverOptions | None = None,
-                  _evaluator: "_SubspaceEval | None" = None,
                   _warm_xi: np.ndarray | None = None
                   ) -> tuple[float, np.ndarray]:
     """Supremum of the Rayleigh ratio over the candidate's unit sphere.
@@ -380,8 +332,9 @@ def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
     if candidate.grid != ctx.grid:
         raise ValueError("candidate grid mismatch")
     rng = np.random.default_rng(seed)
+    ev = _SubspaceEval.of_candidate(ctx, candidate)
 
-    if _violates_dirichlet(ctx, candidate):
+    if ev.violates:
         # the ratio is +inf wherever a blocked-adjacent node is hit; the
         # sphere still gives a (useless) upper bound
         e1 = np.zeros(m)
@@ -389,9 +342,8 @@ def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
         return math.inf, e1
 
     if ctx.p == 2.0:
-        return _sup_on_sphere_p2(ctx, candidate)
+        return _sup_on_sphere_p2(ev)
 
-    ev = _evaluator or _SubspaceEval(ctx, candidate)
     if m == 1:
         val, _ = ev.ratio_grad(np.array([1.0]))
         if not math.isfinite(val):
@@ -418,18 +370,18 @@ def _sphere_denominator_scale(ev: _SubspaceEval) -> float:
     for j in range(ev.m):
         e = np.zeros(ev.m)
         e[j] = 1.0
-        g1, g2 = ev.denominators(e)
-        vals.append(abs(g1) + abs(g2))
+        parts = ev.parts(e)
+        vals.append(abs(parts.g1) + abs(parts.g2))
     return max(max(vals), 1e-300)
 
 
-def _violates_dirichlet(ctx: EnergyContext, candidate: SubspaceCandidate) -> bool:
-    badj = ctx.blocked_adjacent().reshape(-1)
-    return any(np.any(b.flat[badj] != 0.0) for b in candidate.basis)
-
-
-def _sup_on_sphere_p2(ctx: EnergyContext, candidate: SubspaceCandidate):
-    Ar, Br = _restricted_pencil(ctx, candidate)
+def _sup_on_sphere_p2(ev: _SubspaceEval):
+    # the quadratic forms on the subspace: column j is the
+    # coefficient-space gradient at the j-th basis vector
+    cols = [ev.parts(e) for e in np.eye(ev.m)]
+    Ar = np.stack([c.df @ ev.KM for c in cols], axis=1)
+    Br = np.stack([(c.dg1 - c.dg2) @ ev.KM_meas for c in cols], axis=1)
+    Ar, Br = 0.5 * (Ar + Ar.T), 0.5 * (Br + Br.T)
     bmin = sla.eigh(Br, eigvals_only=True)[0]
     scale = max(np.abs(Br).max(), 1e-300)
     if bmin <= 1e-12 * scale:
@@ -439,24 +391,6 @@ def _sup_on_sphere_p2(ctx: EnergyContext, candidate: SubspaceCandidate):
     vals, vecs = sla.eigh(Ar, Br)
     xi = vecs[:, -1]
     return float(vals[-1]), _sphere_project(xi)
-
-
-def _restricted_pencil(ctx: EnergyContext, candidate: SubspaceCandidate):
-    m = candidate.m
-    Ar = np.zeros((m, m))
-    Br = np.zeros((m, m))
-    # quadratic forms via the gradients at each basis field (p = 2)
-    fgrads = [energy_gradient(ctx, b).flat for b in candidate.basis]
-    ggrads = [(g_gradient(ctx, b, 1).flat - g_gradient(ctx, b, 2).flat)
-              for b in candidate.basis]
-    mats = candidate.matrix()
-    for i in range(m):
-        for j in range(m):
-            Ar[i, j] = np.dot(mats[i], fgrads[j])
-            Br[i, j] = np.dot(mats[i], ggrads[j])
-    Ar = 0.5 * (Ar + Ar.T)
-    Br = 0.5 * (Br + Br.T)
-    return Ar, Br
 
 
 # ----------------------------------------------------------------------
@@ -482,30 +416,29 @@ def polish_eigenpair(ctx: EnergyContext, u: Field, *,
     """
     opts = options or SolverOptions()
     grid = ctx.grid
-    free = operators.free_node_mask(grid, ctx.mu)
-    idx = np.flatnonzero(free)
+    idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
+    ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
     u = _normalize(ctx, u)
     lam = rayleigh(ctx, u)
 
-    def full_residual(uf: Field, lam: float):
-        r = (energy_gradient(ctx, uf).flat
-             - lam * (g_gradient(ctx, uf, 1).flat
-                      - g_gradient(ctx, uf, 2).flat))
-        return r[idx]
+    def system(x, lam: float):
+        """Eigen-equation residual on the free nodes, g1 - g2, g1 and
+        the gradient of g1 - g2 at the free-node values x."""
+        parts = ev.parts(x)
+        gdiff = (parts.dg1 - parts.dg2) @ ev.KM_meas
+        return (parts.df @ ev.KM - lam * gdiff, parts.g1 - parts.g2,
+                parts.g1, gdiff)
 
     x = u.flat[idx]
-    r = full_residual(u, lam)
-    best = (lam, u, dual_norm(ctx, _embed(grid, idx, r).values))
+    best = (lam, u, residual(ctx, u, lam))
     for _ in range(opts.newton_max_iter):
         field = _embed(grid, idx, x)
-        gdiff = (g_gradient(ctx, field, 1).flat
-                 - g_gradient(ctx, field, 2).flat)[idx]
+        r, denom, _, gdiff = system(x, lam)
         Hf = hessians.hessian_f(ctx, field, idx)
         Hg = hessians.hessian_g_diff(ctx, field, idx)
         J = sp.bmat([[Hf - lam * Hg, -sp.csc_matrix(gdiff).T],
                      [sp.csc_matrix(gdiff), None]], format="csc")
-        con = (g_energy(ctx, field, 1) - g_energy(ctx, field, 2)) - 1.0
-        rhs = -np.concatenate([full_residual(field, lam), [con]])
+        rhs = -np.concatenate([r, [denom - 1.0]])
         try:
             delta = spla.spsolve(J, rhs)
         except Exception:
@@ -518,13 +451,9 @@ def polish_eigenpair(ctx: EnergyContext, u: Field, *,
         for _ in range(30):
             x_new = x + step * delta[:-1]
             lam_new = lam + step * delta[-1]
-            fnew = _embed(grid, idx, x_new)
-            g1 = g_energy(ctx, fnew, 1)
-            g2 = g_energy(ctx, fnew, 2)
-            if g1 - g2 > ctx.feasibility_tol(g1):
-                rn = np.concatenate(
-                    [full_residual(fnew, lam_new),
-                     [(g1 - g2) - 1.0]])
+            r_new, denom, g1, _ = system(x_new, lam_new)
+            if denom > ctx.feasibility_tol(g1):
+                rn = np.concatenate([r_new, [denom - 1.0]])
                 if np.linalg.norm(rn) < res0 * (1.0 - 1e-4 * step):
                     accepted = True
                     break
@@ -532,11 +461,9 @@ def polish_eigenpair(ctx: EnergyContext, u: Field, *,
         if not accepted:
             break
         x, lam = x_new, lam_new
-        field = _embed(grid, idx, x)
-        resn = dual_norm(ctx, _embed(
-            grid, idx, full_residual(field, lam)).values)
+        resn = dual_norm(ctx, r_new)
         if resn < best[2]:
-            best = (lam, field, resn)
+            best = (lam, _embed(grid, idx, x), resn)
         if resn <= 1e-14 * max(abs(lam), 1.0):
             break
     _, field, _ = best
@@ -574,8 +501,8 @@ def _probe_fields(ctx: EnergyContext, rng: np.random.Generator,
 
 
 def _feasible(ctx: EnergyContext, u: Field) -> bool:
-    g1 = g_energy(ctx, u, 1)
-    return g1 - g_energy(ctx, u, 2) > ctx.feasibility_tol(g1)
+    parts = _field_parts(ctx, u)
+    return parts.g1 - parts.g2 > ctx.feasibility_tol(parts.g1)
 
 
 def eigen_first(ctx: EnergyContext, *, seed: int = 0,
@@ -614,8 +541,16 @@ def eigen_first(ctx: EnergyContext, *, seed: int = 0,
     if u0 is None or not _feasible(ctx, u0):
         raise InfeasibleSubspace("no feasible probe field")
 
-    u = _descend_ratio(ctx, u0, opts)
-    lam, u, res = polish_eigenpair(ctx, u, options=opts)
+    # the ratio is 0-homogeneous: descend from a unit vector, where its
+    # gradient has the scale of the ratio itself
+    idx = np.flatnonzero(operators.free_node_mask(ctx.grid, ctx.mu))
+    ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
+    x0 = _sphere_project(u0.flat[idx])
+    x, _ = bb_minimize(x0, ev.ratio_grad, max_iter=opts.descent_max_iter,
+                       tol_decrement=1e-14, tol_grad=1e-9,
+                       grad_scale=max(abs(ev.ratio_grad(x0)[0]), 1.0))
+    lam, u, res = polish_eigenpair(ctx, _embed(ctx.grid, idx, x),
+                                   options=opts)
     return lam, u, res
 
 
@@ -627,61 +562,6 @@ def _p2_context(ctx: EnergyContext) -> EnergyContext:
                     ctx.weights.w1_atoms if grid2.p > grid2.dim else (),
                     ctx.weights.w2)
     return EnergyContext(grid2, mu2, w2)
-
-
-def _descend_ratio(ctx: EnergyContext, u0: Field,
-                   opts: SolverOptions) -> Field:
-    """Backtracking BB descent of the 0-homogeneous Rayleigh ratio."""
-    grid = ctx.grid
-    free = operators.free_node_mask(grid, ctx.mu)
-    idx = np.flatnonzero(free)
-
-    def value_grad(x):
-        uf = _embed(grid, idx, x)
-        g1 = g_energy(ctx, uf, 1)
-        g2 = g_energy(ctx, uf, 2)
-        denom = g1 - g2
-        if denom <= ctx.feasibility_tol(g1):
-            return math.inf, None
-        val = f_energy(ctx, uf) / denom
-        g = (energy_gradient(ctx, uf).flat
-             - val * (g_gradient(ctx, uf, 1).flat
-                      - g_gradient(ctx, uf, 2).flat))[idx] / denom
-        return val, g
-
-    u = _normalize(ctx, u0)
-    x = u.flat[idx]
-    f, g = value_grad(x)
-    t = 1.0 / max(np.linalg.norm(g), 1e-12)
-    for _ in range(opts.descent_max_iter):
-        gn = np.linalg.norm(g)
-        if gn <= 1e-9 * max(abs(f), 1.0):
-            break
-        step = t
-        accepted = False
-        for _ in range(50):
-            x_new = x + step * (-g)
-            f_new, g_new = value_grad(x_new)
-            if math.isfinite(f_new) and f_new <= f - 1e-4 * step * gn * gn:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        s = x_new - x
-        y = g_new - g
-        sy = float(np.dot(s, y))
-        t = float(np.dot(s, s)) / sy if sy > 1e-300 else step * 2.0
-        t = min(max(t, 1e-18), 1e18)
-        rel = (f - f_new) / max(abs(f), 1e-300)
-        x, f, g = x_new, f_new, g_new
-        if rel < 1e-14:
-            break
-        xn = np.linalg.norm(x)
-        if xn > 0:
-            x = x / xn
-            f, g = value_grad(x)
-    return _normalize(ctx, _embed(grid, idx, x))
 
 
 def eigen_minimax(ctx: EnergyContext, m_max: int, *, seed: int = 0,
@@ -835,13 +715,9 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
     val, cand, xi = best
     non_improving = 0
     for _ in range(opts.max_outer_iter):
-        u_star = cand.combine(xi)
-        g1 = g_energy(ctx, u_star, 1)
-        g2 = g_energy(ctx, u_star, 2)
-        denom = g1 - g2
-        gradR = (energy_gradient(ctx, u_star).flat
-                 - val * (g_gradient(ctx, u_star, 1).flat
-                          - g_gradient(ctx, u_star, 2).flat)) / denom
+        parts = _field_parts(ctx, cand.combine(xi))
+        gradR = _node_gradient(ctx, parts.df - val * _on_all_rows(
+            ctx, parts.dg1 - parts.dg2)).flat / (parts.g1 - parts.g2)
         mat = cand.matrix()
         scale = np.linalg.norm(gradR)
         if scale <= 1e-14:

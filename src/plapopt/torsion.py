@@ -13,18 +13,23 @@ functions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from plapopt.grid import GridSpec, Field, anchor_values, \
-    discrete_gradient, integrate
+from plapopt.grid import GridSpec, Field, anchor_values, integrate
 from plapopt.measure import CapacitaryMeasure, lebesgue_weights
-from plapopt.energy import EnergyContext, f_energy, energy_gradient, dual_norm
+from plapopt.energy import (
+    EnergyContext,
+    _energy_map,
+    _kernel,
+    _odd,
+    dual_norm,
+)
 from plapopt import operators
+from plapopt.operators import _embed
 from plapopt import hessians
 from plapopt.solvers import bb_minimize, newton_refine
 
@@ -53,19 +58,6 @@ def _load_vector(grid: GridSpec, free_idx: np.ndarray) -> np.ndarray:
     return grid.cell_volume * (anchor.T @ ones)
 
 
-def _linear_solve_p2(grid: GridSpec, mu: CapacitaryMeasure,
-                     rhs_builder) -> np.ndarray:
-    free = operators.free_node_mask(grid, mu)
-    idx = np.flatnonzero(free)
-    values = np.zeros(grid.n_nodes)
-    if idx.size == 0:
-        return values
-    A, _, _ = operators.p2_matrices(grid, mu, lebesgue_weights(grid), free)
-    b = rhs_builder(idx)
-    values[idx] = spla.spsolve(A.tocsc(), b)
-    return values
-
-
 def torsion(mu: CapacitaryMeasure,
             grid: GridSpec | None = None) -> tuple[Field, SolveReport]:
     """Torsion function of a measure with its solve report.
@@ -83,76 +75,60 @@ def torsion(mu: CapacitaryMeasure,
     if idx.size == 0:
         return Field(grid, np.zeros(grid.n_nodes)), SolveReport(0, 0.0, True)
 
-    quad = _linear_solve_p2(grid, mu, lambda i: _load_vector(grid, i))
-    if grid.p == 2.0:
-        return Field(grid, quad), SolveReport(1, 0.0, True)
-
     b = _load_vector(grid, idx)
+    A, _, _ = operators.p2_matrices(grid, mu, lebesgue_weights(grid), free)
+    quad = spla.spsolve(A.tocsc(), b)
+    if grid.p == 2.0:
+        return _embed(grid, idx, quad), SolveReport(1, 0.0, True)
+
+    x, info = _bb_then_newton(ctx, idx, quad,
+                              lambda x: (-float(np.dot(b, x)), -b),
+                              grad_scale=dual_norm(ctx, b))
+    return _embed(grid, idx, x), SolveReport(
+        info["iterations"], info["final_decrement"], info["converged"])
+
+
+def _bb_then_newton(ctx, idx, x0, extra, extra_hessian=None, *,
+                    grad_scale):
+    """Minimize f_mu plus an extra term over the free-node values x.
+
+    ``extra(x)`` returns the value and gradient of the extra term,
+    ``extra_hessian(x)`` its Hessian (None: the term is linear).  The
+    descent runs a BB stage, then Newton through a smoothing
+    continuation: |grad|^2 + eps inside the (p-2)/2 power, consistently in
+    value, gradient and Hessian, so each stage is a smooth convex problem
+    that Newton finishes quadratically.  eps = None is the target: the
+    exact value of f_mu, with the context's eps_reg in its gradient and
+    Hessian.  For p >= 2 the gradient is already C^1 and the continuation
+    is skipped.
+    """
+    grid = ctx.grid
+    K = _energy_map(ctx)[:, idx]
 
     def make_stage(eps):
         ctx_e = ctx if eps is None else replace(ctx, eps_reg=eps)
 
         def value_and_grad(x):
-            field = _embed(grid, idx, x)
-            f = _f_value(ctx_e, field, eps) - float(np.dot(b, x))
-            g = energy_gradient(ctx_e, field).flat[idx] - b
-            return f, g
+            parts = _kernel(ctx_e, K @ x, ctx_e.eps_reg,
+                            smooth_f=eps is not None)
+            value, grad = extra(x)
+            return parts.f + value, K.T @ parts.df + grad
 
         def hess(x):
-            return hessians.hessian_f(ctx_e, _embed(grid, idx, x), idx)
+            H = hessians.hessian_f(ctx_e, _embed(grid, idx, x), idx)
+            return H if extra_hessian is None else H + extra_hessian(x)
 
         return value_and_grad, hess
 
-    vg0, _ = make_stage(None)
-    x0 = _scale_to_descent(quad[idx], vg0)
-    x, info = _bb_then_newton(
-        ctx, grid, idx, x0, make_stage,
-        grad_scale=dual_norm(ctx, _embed_raw(grid, idx, b)))
-    values = np.zeros(grid.n_nodes)
-    values[idx] = x
-    return Field(grid, values), SolveReport(
-        info["iterations"], info["final_decrement"], info["converged"])
-
-
-def _f_value(ctx: EnergyContext, u: Field, eps: float | None) -> float:
-    """Measure energy, optionally with the gradient smoothing in the value."""
-    if eps is None:
-        return f_energy(ctx, u)
-    grid = ctx.grid
-    p = grid.p
-    grad = discrete_gradient(u)
-    s = np.sum(grad * grad, axis=-1) + eps
-    s = np.where(ctx.mu.blocked, 0.0, s)
-    total = grid.cell_volume * (s ** (p / 2.0)).sum()
-    anch = anchor_values(grid, u.values)
-    total += grid.cell_volume * (ctx.mu.density * np.abs(anch) ** p).sum()
-    flat = u.flat
-    for node, mass in ctx.mu.atoms:
-        total += mass * abs(flat[node]) ** p
-    return total / p
-
-
-def _bb_then_newton(ctx, grid, idx, x0, make_stage, *, grad_scale):
-    """Descend a smoothing continuation, then Newton on the true problem.
-
-    ``make_stage(eps)`` returns (value_and_grad, hessian) callables of the
-    eps-smoothed objective; eps = None means the un-smoothed target.  The
-    smoothing follows the gradient regularizer: |grad|^2 + eps inside the
-    (p-2)/2 power, consistently in value, gradient and Hessian, so each
-    stage is a smooth convex problem that Newton finishes quadratically.
-    For p >= 2 the gradient is already C^1 and the continuation is skipped.
-    """
-    gnorm = lambda g: dual_norm(ctx, _embed_raw(grid, idx, g))
-    p = ctx.p
+    gnorm = lambda g: dual_norm(ctx, g)
     total = 0
-    x = np.asarray(x0, dtype=float).copy()
     value_and_grad, _ = make_stage(None)
     x, info = bb_minimize(
-        x, value_and_grad, max_iter=BB_STAGE_ITER,
+        x0, value_and_grad, max_iter=BB_STAGE_ITER,
         tol_decrement=DEFAULT_TOL_DECREMENT, tol_grad=1e-4,
         grad_norm=gnorm, grad_scale=grad_scale)
     total += info["iterations"]
-    if p < 2.0:
+    if ctx.p < 2.0:
         h2 = min(grid.spacing) ** 2
         for eps in (1e-2 * h2, 1e-5 * h2, 1e-8 * h2):
             if eps <= ctx.eps_reg:
@@ -169,29 +145,6 @@ def _bb_then_newton(ctx, grid, idx, x0, make_stage, *, grad_scale):
         grad_norm=gnorm, grad_scale=grad_scale)
     ninfo["iterations"] += total
     return x, ninfo
-
-
-def _embed(grid: GridSpec, idx: np.ndarray, x: np.ndarray) -> Field:
-    values = np.zeros(grid.n_nodes)
-    values[idx] = x
-    return Field(grid, values)
-
-
-def _embed_raw(grid: GridSpec, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-    values = np.zeros(grid.n_nodes)
-    values[idx] = x
-    return values
-
-
-def _scale_to_descent(x0, value_and_grad):
-    """Shrink the initial iterate until the objective is finite."""
-    x = np.asarray(x0, dtype=float).copy()
-    for _ in range(80):
-        f, _ = value_and_grad(x)
-        if math.isfinite(f):
-            return x
-        x *= 0.5
-    return np.zeros_like(x)
 
 
 def field_distance_p(a: Field, b: Field) -> float:
@@ -250,40 +203,23 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
         A, _, _ = operators.p2_matrices(grid, mu, lebesgue_weights(grid), free)
         M = vol * (anchor.T @ sp.diags(bflat) @ anchor)
         x = spla.spsolve((A + k * M).tocsc(), k * (M @ zfree))
-        values = np.zeros(grid.n_nodes)
-        values[idx] = x
-        return Field(grid, values), SolveReport(1, 0.0, True)
+        return _embed(grid, idx, x), SolveReport(1, 0.0, True)
 
-    def make_stage(eps):
-        ctx_e = ctx if eps is None else replace(ctx, eps_reg=eps)
+    # z may be nonzero off the free nodes: its anchors there stay fixed
+    z_anchor = operators.anchor_op(grid) @ z.flat
 
-        def value_and_grad(x):
-            field = _embed(grid, idx, x)
-            diff = anchor_values(grid, field.values - z.values)
-            fid = (k / p) * vol * (bcells * np.abs(diff) ** p).sum()
-            f = fid + _f_value(ctx_e, field, eps)
-            gfid = k * vol * (anchor.T @ (bflat * _odd(diff.reshape(-1), p)))
-            g = gfid + energy_gradient(ctx_e, field).flat[idx]
-            return f, g
+    def fidelity(x):
+        diff = anchor @ x - z_anchor
+        return ((k / p) * vol * float(bflat @ np.abs(diff) ** p),
+                k * vol * (anchor.T @ (bflat * _odd(diff, p))))
 
-        def hess(x):
-            field = _embed(grid, idx, x)
-            diff = anchor_values(grid, field.values - z.values).reshape(-1)
-            dfid = k * (p - 1.0) * vol * bflat * hessians.abs_pow(diff,
-                                                                  p - 2.0)
-            H = anchor.T @ sp.diags(dfid) @ anchor
-            return H + hessians.hessian_f(ctx_e, field, idx)
-
-        return value_and_grad, hess
+    def fidelity_hessian(x):
+        diff = anchor @ x - z_anchor
+        dfid = k * (p - 1.0) * vol * bflat * hessians.abs_pow(diff, p - 2.0)
+        return anchor.T @ sp.diags(dfid) @ anchor
 
     x, info = _bb_then_newton(
-        ctx, grid, idx, zfree, make_stage,
+        ctx, idx, zfree, fidelity, fidelity_hessian,
         grad_scale=max(k * z.norm_p() ** (p - 1.0), 1.0))
-    values = np.zeros(grid.n_nodes)
-    values[idx] = x
-    return Field(grid, values), SolveReport(
+    return _embed(grid, idx, x), SolveReport(
         info["iterations"], info["final_decrement"], info["converged"])
-
-
-def _odd(x, p):
-    return np.sign(x) * np.abs(x) ** (p - 1.0)

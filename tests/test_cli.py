@@ -176,6 +176,25 @@ def test_infeasible_constraint_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("solver", "n_starts", "abc"),
+    ("solver", "m_max", 0),
+    ("solver", "m_max", 99),
+    ("measure", "atoms", 5),
+])
+def test_invalid_solve_values_exit_2_before_writing(tmp_path, capsys,
+                                                    section, key, value):
+    payload = solve_config(n=16)
+    payload[section][key] = value
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 def test_field_csv_roundtrip(tmp_path):
     g = GridSpec(1, 16, (1.0,), 2.0)
     rng = np.random.default_rng(5)

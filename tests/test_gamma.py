@@ -149,3 +149,41 @@ def test_lambda_monotone_along_leq_sequence():
     seq = blocked_limit_sequence(g, half_mask(48), [5.0, 50.0, 500.0])
     rep = lsc_check(seq, lebesgue_weights(g), 2, slack=0.2)
     assert rep.tail_values == sorted(rep.tail_values)
+
+
+def test_distances_solve_the_limit_torsion_once(monkeypatch):
+    import plapopt.gamma as gamma_mod
+    from plapopt.torsion import gamma_distance
+
+    g = GridSpec(1, 32, (1.0,), 2.0)
+    seq = blocked_limit_sequence(g, half_mask(32), [10.0, 1e2, 1e3, 1e4])
+    weights = lebesgue_weights(g)
+    tail = list(seq.elements[-3:])
+
+    # the report of one gamma_distance solve pair per tail member
+    with monkeypatch.context() as m:
+        m.setattr(gamma_mod, "_distances", lambda s, members: [
+            gamma_distance(mu, s.limit) for mu in members])
+        before = lsc_check(seq, weights, 1)
+
+    calls = []
+    solve = gamma_mod.torsion
+
+    def counting(mu, *args):
+        calls.append(mu)
+        return solve(mu, *args)
+
+    monkeypatch.setattr(gamma_mod, "torsion", counting)
+    after = lsc_check(seq, weights, 1)
+    assert after == before
+    assert after.distances == [gamma_distance(mu, seq.limit) for mu in tail]
+    assert len(calls) == len(tail) + 1
+
+    # an unconverged solve still raises, as in gamma_distance
+    def unconverged(mu, *args):
+        w, rep = solve(mu, *args)
+        return w, type(rep)(rep.iterations, rep.final_decrement, False)
+
+    monkeypatch.setattr(gamma_mod, "torsion", unconverged)
+    with pytest.raises(RuntimeError, match="converge"):
+        lsc_check(seq, weights, 1)

@@ -5,6 +5,7 @@ import pytest
 
 from plapopt.grid import GridSpec, Field, field_from_function
 from plapopt.measure import (
+    CapacitaryMeasure,
     WeightPair,
     from_potential,
     from_quasi_open,
@@ -49,6 +50,23 @@ def test_sup_single_ray_is_rayleigh():
     u = field_from_function(ctx.grid, lambda x: np.sin(math.pi * x))
     val, xi = sup_on_sphere(ctx, SubspaceCandidate((u,)), seed=0)
     assert math.isclose(val, rayleigh(ctx, u), rel_tol=1e-12)
+    # the coefficient-space energies agree with the field energies at the
+    # argmax, with a density, sign-changing weights and (p = 3) atoms
+    rng = np.random.default_rng(8)
+    for p in (1.5, 3.0):
+        g = GridSpec(1, 16, (1.0,), p)
+        atoms = ((4, 0.6),) if p == 3.0 else ()
+        mu = CapacitaryMeasure(g, 2.0 * rng.random(16), np.zeros(16, bool),
+                               atoms)
+        weights = WeightPair(g, 1.0, atoms, 0.3 * rng.random(16))
+        ctx = EnergyContext(g, mu, weights)
+        x = g.axis_nodes()
+        for m in (2, 3):
+            cand = SubspaceCandidate(tuple(
+                Field(g, np.sin(j * math.pi * x)) for j in range(1, m + 1)))
+            val, xi = sup_on_sphere(ctx, cand, seed=0, options=FAST)
+            assert math.isclose(val, rayleigh(ctx, cand.combine(xi)),
+                                rel_tol=1e-12)
 
 
 def test_sup_two_dense_eigenvectors_gives_second():
