@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,195 +57,220 @@ class ValidationError(Exception):
 
 
 # ----------------------------------------------------------------------
-# config schema
+# config reader
 
-_GRID_KEYS = {"dim", "n", "lengths", "p"}
-_MEASURE_KEYS = {"kind", "density", "mask", "atoms"}
-_WEIGHT_KEYS = {"w1", "w1_atoms", "w2"}
-_PSI_KEYS = {"kind", "beta"}
-_SOLVER_KEYS = {"m_max", "cert_tol", "n_starts", "max_ascent_iter",
-                "max_outer_iter", "max_restarts", "descent_max_iter",
-                "newton_max_iter"}
-_GAMMA_KEYS = {"mask", "s_values", "m", "slack", "tail", "psi", "run_usc"}
-_OBJECTIVE_KEYS = {"kind", "k", "weights"}
-_CONSTRAINT_KEYS = {"kind", "c", "psi"}
-_OPTIONS_KEYS = {"max_iter", "n_starts", "soft_walls", "max_thresh_iter"}
-
-_TOP_KEYS = {
-    "solve": {"grid", "seed", "measure", "weights", "solver"},
-    "torsion": {"grid", "seed", "measure"},
-    "gamma-diag": {"grid", "seed", "weights", "gamma", "solver"},
-    "optimize-potential": {"grid", "seed", "weights", "objective",
-                           "constraint", "options", "solver"},
-    "optimize-set": {"grid", "seed", "weights", "objective", "constraint",
-                     "options", "solver"},
-}
-_REQUIRED_KEYS = {
-    "solve": {"grid", "measure", "weights"},
-    "torsion": {"grid", "measure"},
-    "gamma-diag": {"grid", "weights", "gamma"},
-    "optimize-potential": {"grid", "weights", "objective", "constraint"},
-    "optimize-set": {"grid", "weights", "objective", "constraint"},
-}
+_MISSING = object()
 
 
-def _require_dict(obj, name):
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{name} must be an object")
-    return obj
+class _Section:
+    """One JSON object of a config, read key by key.
+
+    take() reads a key (or its default when the key is absent) and names
+    the failing ``section.key`` in the ValidationError; close() rejects
+    the keys that no take() asked for.
+    """
+
+    def __init__(self, raw, name: str):
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{name} must be an object")
+        self.raw, self.name, self.read_keys = raw, name, set()
+        self.prefix = "" if name == "config" else name + "."
+
+    def take(self, key: str, read, default=_MISSING):
+        """read() of the value under key; defaults are JSON values too."""
+        self.read_keys.add(key)
+        raw = self.raw.get(key, default)
+        if raw is _MISSING:
+            raise ValidationError(f"{self.prefix}{key}: missing")
+        try:
+            return read(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{self.prefix}{key}: {exc}") from exc
+
+    def section(self, key: str, read, default=_MISSING):
+        """read(_Section) of the object under key, then close() it.  The
+        object may be null only where its default is null."""
+        def parse(raw):
+            if raw is None and default is None:
+                return None
+            sec = _Section(raw, self.prefix + key)
+            value = read(sec)
+            sec.close()
+            return value
+        return self.take(key, parse, default)
+
+    def close(self):
+        unknown = set(self.raw) - self.read_keys
+        if unknown:
+            raise ValidationError(
+                f"{self.name}: unknown keys {sorted(unknown)}")
 
 
-def _check_keys(obj: dict, allowed: set, name: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(
-            f"{name}: unknown keys {sorted(unknown)}")
+def _integer(lo=-math.inf, hi=math.inf):
+    def read(v):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"expected an integer, got {v!r}")
+        if not lo <= v <= hi:
+            raise ValueError(f"{v} is outside {lo}..{hi}")
+        return v
+    return read
+
+
+def _number(v) -> float:
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not math.isfinite(v)):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _of_type(kind: type, what: str):
+    def read(v):
+        if not isinstance(v, kind):
+            raise ValueError(f"expected {what}, got {v!r}")
+        return v
+    return read
+
+
+_string = _of_type(str, "a string")
+_bool = _of_type(bool, "true or false")
+_list = _of_type(list, "a list")
+
+
+def _numbers(v) -> tuple[float, ...]:
+    return tuple(_number(x) for x in _list(v))
+
+
+def _flags(v) -> np.ndarray:
+    """A flat list of booleans or numbers, nonzero meaning true."""
+    return np.array([x if isinstance(x, bool) else _number(x) != 0
+                     for x in _list(v)], dtype=bool)
+
+
+def _cells(grid: GridSpec, blocking: bool = False):
+    """A per-cell array from a number or a flat list; where blocking, the
+    string "inf" marks a blocked cell."""
+    def read(v):
+        if not isinstance(v, list):
+            return np.full(grid.cells_shape, _number(v))
+        vals = [math.inf if blocking and x == "inf" else _number(x)
+                for x in v]
+        if len(vals) != grid.n_cells:
+            raise ValueError(f"length {len(vals)} != {grid.n_cells} cells")
+        return np.asarray(vals).reshape(grid.cells_shape)
+    return read
+
+
+def _atoms(v) -> tuple:
+    pairs = [] if v is None else _list(v)
+    if any(not isinstance(a, list) or len(a) != 2 for a in pairs):
+        raise ValueError(f"expected a list of [node, mass] pairs, got {v!r}")
+    return tuple((_integer()(n), _number(m)) for n, m in pairs)
+
+
+def _read_grid(sec: _Section) -> GridSpec:
+    return GridSpec(sec.take("dim", _integer()), sec.take("n", _integer()),
+                    sec.take("lengths", _numbers), sec.take("p", _number))
+
+
+def _read_measure(sec: _Section, grid: GridSpec) -> CapacitaryMeasure:
+    kind = sec.take("kind", _string)
+    density = sec.take("density", _cells(grid, blocking=True), 0)
+    mask = sec.take("mask", _flags, [])
+    atoms = sec.take("atoms", _atoms, None)
+    if kind == "zero":
+        base = zero_measure(grid)
+    elif kind == "potential":
+        base = from_potential(grid, density)
+    elif kind == "quasi_open":
+        base = from_quasi_open(grid, mask)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return CapacitaryMeasure(grid, base.density, base.blocked, atoms)
+
+
+def _read_weights(sec: _Section, grid: GridSpec) -> WeightPair:
+    weights = WeightPair(grid, sec.take("w1", _cells(grid), 0.0),
+                         sec.take("w1_atoms", _atoms, None),
+                         sec.take("w2", _cells(grid), 0.0))
+    if weights.trivial_nu1:
+        raise ValueError("nu1 vanishes: no field can satisfy g1 > g2")
+    return weights
+
+
+def _read_solver(sec: _Section) -> tuple[SolverOptions, int]:
+    defaults = SolverOptions()
+    options = SolverOptions(**{
+        f.name: sec.take(f.name, _number if f.name == "cert_tol"
+                         else _integer(0), getattr(defaults, f.name))
+        for f in fields(SolverOptions)})
+    return options, sec.take("m_max", _integer(1, M_MAX_LIMIT), 4)
+
+
+def _read_psi(sec: _Section) -> PsiSpec:
+    return PsiSpec(sec.take("kind", _string, "exp"),
+                   sec.take("beta", _number, 1.0))
+
+
+def _read_gamma(sec: _Section, grid: GridSpec, weights: WeightPair) -> dict:
+    sequence = blocked_limit_sequence(grid, sec.take("mask", _flags),
+                                      sec.take("s_values", _numbers))
+    run_usc = sec.take("run_usc", _bool, not weights.w2.any())
+    if run_usc and weights.w2.any():
+        raise ValueError("run_usc needs w2 = 0")
+    return {"sequence": sequence, "run_usc": run_usc,
+            "m": sec.take("m", _integer(1, M_MAX_LIMIT), 1),
+            "slack": sec.take("slack", _number, 1e-3),
+            "tail": sec.take("tail", _integer(1), 3),
+            "psi": sec.section("psi", _read_psi, {})}
+
+
+def _read_objective(sec: _Section) -> ObjectiveSpec:
+    return ObjectiveSpec(sec.take("kind", _string, "single"),
+                         sec.take("k", _integer(), 1),
+                         sec.take("weights", _numbers, []))
+
+
+def _read_constraint(sec: _Section) -> ConstraintSpec:
+    return ConstraintSpec(sec.take("kind", _string), sec.take("c", _number),
+                          sec.section("psi", _read_psi, None))
+
+
+def _read_optimizer(sec: _Section) -> dict:
+    walls = sec.take("soft_walls", _numbers, [1e2, 1e4])
+    if any(s < 0 for s in walls):
+        raise ValueError("soft_walls must be >= 0")
+    return {"max_iter": sec.take("max_iter", _integer(0), 200),
+            "n_starts": sec.take("n_starts", _integer(1), 3),
+            "soft_walls": walls,
+            "max_thresh_iter": sec.take("max_thresh_iter", _integer(1), 30)}
 
 
 def validate_config(config, subcommand: str) -> dict:
-    config = _require_dict(config, "config")
-    _check_keys(config, _TOP_KEYS[subcommand], "config")
-    missing = _REQUIRED_KEYS[subcommand] - set(config)
-    if missing:
-        raise ValidationError(f"config: missing keys {sorted(missing)}")
-    _check_keys(_require_dict(config["grid"], "grid"), _GRID_KEYS, "grid")
-    for key in ("dim", "n", "lengths", "p"):
-        if key not in config["grid"]:
-            raise ValidationError(f"grid: missing key {key!r}")
-    if "measure" in config:
-        _check_keys(_require_dict(config["measure"], "measure"),
-                    _MEASURE_KEYS, "measure")
-    if "weights" in config:
-        _check_keys(_require_dict(config["weights"], "weights"),
-                    _WEIGHT_KEYS, "weights")
-    if "solver" in config:
-        _check_keys(_require_dict(config["solver"], "solver"),
-                    _SOLVER_KEYS, "solver")
-    if "gamma" in config:
-        gamma = _require_dict(config["gamma"], "gamma")
-        _check_keys(gamma, _GAMMA_KEYS, "gamma")
-        if "psi" in gamma:
-            _check_keys(_require_dict(gamma["psi"], "gamma.psi"),
-                        _PSI_KEYS, "gamma.psi")
-    if "objective" in config:
-        _check_keys(_require_dict(config["objective"], "objective"),
-                    _OBJECTIVE_KEYS, "objective")
-    if "constraint" in config:
-        con = _require_dict(config["constraint"], "constraint")
-        _check_keys(con, _CONSTRAINT_KEYS, "constraint")
-        if "psi" in con and con["psi"] is not None:
-            _check_keys(_require_dict(con["psi"], "constraint.psi"),
-                        _PSI_KEYS, "constraint.psi")
-    if "options" in config:
-        _check_keys(_require_dict(config["options"], "options"),
-                    _OPTIONS_KEYS, "options")
-    if "seed" in config and not isinstance(config["seed"], int):
-        raise ValidationError("seed must be an integer")
-    return config
+    """Read a config into the inputs of the subcommand's runner.
 
-
-# ----------------------------------------------------------------------
-# config -> domain objects
-
-def _parse_grid(spec: dict) -> GridSpec:
-    try:
-        return GridSpec(int(spec["dim"]), int(spec["n"]),
-                        tuple(float(x) for x in spec["lengths"]),
-                        float(spec["p"]))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"grid: {exc}") from exc
-
-
-def _parse_density(grid: GridSpec, raw) -> np.ndarray:
-    if isinstance(raw, (int, float)):
-        return np.full(grid.cells_shape, float(raw))
-    if not isinstance(raw, list):
-        raise ValidationError("density must be a number or a flat array")
-    vals = [math.inf if x == "inf" else float(x) for x in raw]
-    if len(vals) != grid.n_cells:
-        raise ValidationError(
-            f"density length {len(vals)} != cell count {grid.n_cells}")
-    return np.asarray(vals).reshape(grid.cells_shape)
-
-
-def _parse_atoms(raw) -> tuple:
-    if raw is None:
-        return ()
-    try:
-        return tuple((int(n), float(m)) for n, m in raw)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"atoms must be a list of [node, mass] pairs: {exc}") from exc
-
-
-def _parse_measure(grid: GridSpec, spec: dict) -> CapacitaryMeasure:
-    kind = spec.get("kind")
-    try:
-        if kind == "zero":
-            base = zero_measure(grid)
-        elif kind == "potential":
-            base = from_potential(grid, _parse_density(grid,
-                                                       spec.get("density", 0)))
-        elif kind == "quasi_open":
-            mask = np.asarray(spec.get("mask", []), dtype=bool)
-            base = from_quasi_open(grid, mask)
-        else:
-            raise ValidationError(f"measure: unknown kind {kind!r}")
-        atoms = _parse_atoms(spec.get("atoms"))
-        if atoms:
-            base = CapacitaryMeasure(grid, base.density, base.blocked, atoms)
-        return base
-    except ValueError as exc:
-        raise ValidationError(f"measure: {exc}") from exc
-
-
-def _parse_weights(grid: GridSpec, spec: dict) -> WeightPair:
-    try:
-        return WeightPair(grid,
-                          _parse_density(grid, spec.get("w1", 0.0)),
-                          _parse_atoms(spec.get("w1_atoms")),
-                          _parse_density(grid, spec.get("w2", 0.0)))
-    except ValueError as exc:
-        raise ValidationError(f"weights: {exc}") from exc
-
-
-def _parse_psi(spec: dict | None) -> PsiSpec:
-    spec = spec or {}
-    try:
-        return PsiSpec(spec.get("kind", "exp"), float(spec.get("beta", 1.0)))
-    except ValueError as exc:
-        raise ValidationError(f"psi: {exc}") from exc
-
-
-def _parse_solver_options(spec: dict | None) -> tuple[SolverOptions, int]:
-    spec = dict(spec or {})
-    defaults = SolverOptions()
-    try:
-        m_max = int(spec.pop("m_max", 4))
-        kwargs = {k: type(getattr(defaults, k))(v) for k, v in spec.items()}
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"solver: {exc}") from exc
-    if not 1 <= m_max <= M_MAX_LIMIT:
-        raise ValidationError(f"solver: m_max must be in 1..{M_MAX_LIMIT}")
-    return SolverOptions(**kwargs), m_max
-
-
-def _parse_objective(spec: dict) -> ObjectiveSpec:
-    try:
-        return ObjectiveSpec(spec.get("kind", "single"),
-                             int(spec.get("k", 1)),
-                             tuple(spec.get("weights", ())))
-    except ValueError as exc:
-        raise ValidationError(f"objective: {exc}") from exc
-
-
-def _parse_constraint(spec: dict) -> ConstraintSpec:
-    try:
-        psi = _parse_psi(spec["psi"]) if spec.get("psi") is not None else None
-        return ConstraintSpec(spec.get("kind", ""), float(spec.get("c", 0)),
-                              psi)
-    except (ValueError, KeyError) as exc:
-        raise ValidationError(f"constraint: {exc}") from exc
+    Each key is read once, here; any other key is rejected, and every
+    malformed value raises ValidationError naming ``section.key``.
+    """
+    top = _Section(config, "config")
+    grid = top.section("grid", _read_grid)
+    inputs = {"grid": grid, "seed": top.take("seed", _integer(0), 0)}
+    if subcommand in ("solve", "torsion"):
+        inputs["measure"] = top.section(
+            "measure", lambda sec: _read_measure(sec, grid))
+    if subcommand != "torsion":
+        weights = top.section("weights", lambda sec: _read_weights(sec, grid))
+        inputs["weights"] = weights
+        inputs["solver"], inputs["m_max"] = top.section(
+            "solver", _read_solver, {})
+    if subcommand == "gamma-diag":
+        inputs.update(top.section(
+            "gamma", lambda sec: _read_gamma(sec, grid, weights)))
+    if subcommand.startswith("optimize-"):
+        inputs["objective"] = top.section("objective", _read_objective)
+        inputs["constraint"] = top.section("constraint", _read_constraint)
+        inputs["optimizer"] = top.section("options", _read_optimizer, {})
+    top.close()
+    return inputs
 
 
 # ----------------------------------------------------------------------
@@ -285,36 +311,30 @@ def _fmt(x: float) -> str:
 
 def dump_field(field: Field, fmt: str, path: Path):
     """Write a node field as CSV (x[,y],value) or 8-bit PGM (2D only)."""
-    grid = field.grid
-    if fmt == "csv":
-        lines = []
-        coords = grid.node_coords().reshape(-1, grid.dim)
-        for xy, v in zip(coords, field.flat):
-            lines.append(",".join(_fmt(c) for c in xy) + "," + _fmt(v))
-        Path(path).write_text("\n".join(lines) + "\n")
-    elif fmt == "pgm":
-        if grid.dim != 2:
-            raise ValueError("pgm dumps need a 2D field")
-        _write_pgm(field.values, path)
-    else:
-        raise ValueError(f"unknown field format {fmt!r}")
+    _dump(field.grid, field.grid.node_coords(), field.values, fmt, path)
 
 
-def dump_cells(grid: GridSpec, cells: np.ndarray, fmt: str, path: Path):
-    """Write a per-cell array as CSV over cell centers, or PGM (2D)."""
-    cells = np.asarray(cells, dtype=float).reshape(grid.cells_shape)
+def _dump(grid: GridSpec, coords: np.ndarray, values: np.ndarray, fmt: str,
+          path: Path):
+    """Write node or cell values as CSV over their coordinates, or as an
+    8-bit PGM image (2D only)."""
     if fmt == "csv":
-        lines = []
-        coords = grid.cell_centers().reshape(-1, grid.dim)
-        for xy, v in zip(coords, cells.reshape(-1)):
-            lines.append(",".join(_fmt(c) for c in xy) + "," + _fmt(v))
+        lines = (",".join(_fmt(c) for c in xy) + "," + _fmt(v) for xy, v
+                 in zip(coords.reshape(-1, grid.dim), values.reshape(-1)))
         Path(path).write_text("\n".join(lines) + "\n")
     elif fmt == "pgm":
         if grid.dim != 2:
             raise ValueError("pgm dumps need 2D data")
-        _write_pgm(cells, path)
+        _write_pgm(values, path)
     else:
-        raise ValueError(f"unknown cells format {fmt!r}")
+        raise ValueError(f"unknown dump format {fmt!r}")
+
+
+def _dump_formats(out: Path, stem: str, grid: GridSpec, coords: np.ndarray,
+                  values: np.ndarray):
+    """stem.csv, plus stem.pgm on a 2D grid."""
+    for fmt in ("csv", "pgm")[:grid.dim]:
+        _dump(grid, coords, values, fmt, out / f"{stem}.{fmt}")
 
 
 def _write_pgm(values: np.ndarray, path: Path):
@@ -342,12 +362,8 @@ def read_field_csv(grid: GridSpec, path: Path) -> Field:
 # subcommands
 
 def _spectral_payload(result) -> dict:
-    return {
-        "lambdas": [_jsonable(x) for x in result.lambdas],
-        "residuals": [None if r is None else r for r in result.residuals],
-        "statuses": list(result.statuses),
-        "subspace_bounds": [_jsonable(x) for x in result.subspace_bounds],
-    }
+    return {key: getattr(result, key) for key in
+            ("lambdas", "residuals", "statuses", "subspace_bounds")}
 
 
 def _write_spectral_csv(path: Path, result):
@@ -362,21 +378,17 @@ def _write_spectral_csv(path: Path, result):
 
 def _dump_eigenfields(out: Path, grid: GridSpec, result):
     for m, u in enumerate(result.eigenfields, start=1):
-        if u is None:
-            continue
-        dump_field(u, "csv", out / f"field_m{m}.csv")
-        if grid.dim == 2:
-            dump_field(u, "pgm", out / f"field_m{m}.pgm")
+        if u is not None:
+            _dump_formats(out, f"field_m{m}", grid, grid.node_coords(),
+                          u.values)
 
 
-def run_solve(config: dict, out: Path, seed: int, timings: dict) -> int:
-    grid = _parse_grid(config["grid"])
-    mu = _parse_measure(grid, config["measure"])
-    weights = _parse_weights(grid, config["weights"])
-    opts, m_max = _parse_solver_options(config.get("solver"))
-    ctx = EnergyContext(grid, mu, weights)
+def run_solve(inputs: dict, out: Path, timings: dict) -> int:
+    grid = inputs["grid"]
+    ctx = EnergyContext(grid, inputs["measure"], inputs["weights"])
     t0 = time.perf_counter()
-    result = eigen_minimax(ctx, m_max, seed=seed, options=opts)
+    result = eigen_minimax(ctx, inputs["m_max"], seed=inputs["seed"],
+                           options=inputs["solver"])
     timings["solve"] = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)
     payload = {"version": __version__, "subcommand": "solve",
@@ -388,155 +400,90 @@ def run_solve(config: dict, out: Path, seed: int, timings: dict) -> int:
     return EXIT_NO_CONVERGENCE if unresolved else EXIT_OK
 
 
-def run_torsion(config: dict, out: Path, seed: int, timings: dict) -> int:
-    grid = _parse_grid(config["grid"])
-    mu = _parse_measure(grid, config["measure"])
+def run_torsion(inputs: dict, out: Path, timings: dict) -> int:
     t0 = time.perf_counter()
-    w, report = torsion(mu)
+    w, report = torsion(inputs["measure"])
     timings["torsion"] = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
+    write_json(out / "results.json", {
         "version": __version__, "subcommand": "torsion",
         "max_w": float(w.values.max()) if w.values.size else 0.0,
         "iterations": report.iterations,
         "final_decrement": report.final_decrement,
         "converged": report.converged,
-    }
-    write_json(out / "results.json", payload)
-    dump_field(w, "csv", out / "w.csv")
-    if grid.dim == 2:
-        dump_field(w, "pgm", out / "w.pgm")
+    })
+    _dump_formats(out, "w", w.grid, w.grid.node_coords(), w.values)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def _report_payload(report) -> dict:
-    return {
-        "check": report.check,
-        "m": report.m,
-        "limit_value": _jsonable(report.limit_value),
-        "tail_values": [_jsonable(v) for v in report.tail_values],
-        "estimate": _jsonable(report.estimate),
-        "margin": _jsonable(report.margin),
-        "slack": report.slack,
-        "passed": report.passed,
-        "inconclusive": report.inconclusive,
-        "distances": [_jsonable(v) for v in report.distances],
-        "statuses": list(report.statuses),
-        "note": report.note,
-    }
-
-
-def run_gamma_diag(config: dict, out: Path, seed: int, timings: dict) -> int:
-    grid = _parse_grid(config["grid"])
-    weights = _parse_weights(grid, config["weights"])
-    gamma_cfg = config["gamma"]
-    opts, _ = _parse_solver_options(config.get("solver"))
-    mask = np.asarray(gamma_cfg["mask"], dtype=bool)
-    s_values = [float(s) for s in gamma_cfg["s_values"]]
-    m = int(gamma_cfg.get("m", 1))
-    slack = float(gamma_cfg.get("slack", 1e-3))
-    tail = int(gamma_cfg.get("tail", 3))
-    psi = _parse_psi(gamma_cfg.get("psi"))
-    try:
-        seq = blocked_limit_sequence(grid, mask, s_values)
-    except ValueError as exc:
-        raise ValidationError(f"gamma: {exc}") from exc
-
+def run_gamma_diag(inputs: dict, out: Path, timings: dict) -> int:
+    seq, weights, m = inputs["sequence"], inputs["weights"], inputs["m"]
+    tails = {"slack": inputs["slack"], "tail": inputs["tail"]}
+    solves = {"seed": inputs["seed"], "options": inputs["solver"], **tails}
     t0 = time.perf_counter()
-    reports = {"lsc": lsc_check(seq, weights, m, slack=slack, tail=tail,
-                                seed=seed, options=opts)}
-    run_usc = bool(gamma_cfg.get("run_usc", not weights.w2.any()))
-    if run_usc:
-        reports["usc"] = usc_check(seq, weights, m, slack=slack, tail=tail,
-                                   seed=seed, options=opts)
-    reports["psi_lsc"] = psi_lsc_check(seq, psi, slack=slack, tail=tail)
+    reports = {"lsc": lsc_check(seq, weights, m, **solves)}
+    if inputs["run_usc"]:
+        reports["usc"] = usc_check(seq, weights, m, **solves)
+    reports["psi_lsc"] = psi_lsc_check(seq, inputs["psi"], **tails)
     timings["gamma"] = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)
 
-    payload = {"version": __version__, "subcommand": "gamma-diag",
-               "s_values": s_values,
-               "checks": {k: _report_payload(r) for k, r in reports.items()}}
-    write_json(out / "report.json", payload)
+    write_json(out / "report.json", {
+        "version": __version__, "subcommand": "gamma-diag",
+        "s_values": seq.params["s_values"],
+        "checks": {k: asdict(r) for k, r in reports.items()}})
     inconclusive = any(r.inconclusive for r in reports.values())
     return EXIT_NO_CONVERGENCE if inconclusive else EXIT_OK
 
 
-def _write_history_csv(path: Path, history):
-    rows = ["iteration,objective,constraint"]
-    for row in history:
-        rows.append(f"{row.iteration},{_fmt(row.objective)},"
-                    f"{_fmt(row.constraint)}")
-    path.write_text("\n".join(rows) + "\n")
-
-
-def run_optimize_potential(config: dict, out: Path, seed: int,
-                           timings: dict) -> int:
-    grid = _parse_grid(config["grid"])
-    weights = _parse_weights(grid, config["weights"])
-    objective = _parse_objective(config["objective"])
-    constraint = _parse_constraint(config["constraint"])
-    opts, _ = _parse_solver_options(config.get("solver"))
-    options = config.get("options", {})
-    t0 = time.perf_counter()
-    try:
-        result = optimize_potential(
-            grid, weights, objective, constraint, seed=seed, options=opts,
-            max_iter=int(options.get("max_iter", 200)))
-    except InfeasibleConstraint as exc:
-        raise ValidationError(f"constraint: {exc}") from exc
-    timings["optimize"] = time.perf_counter() - t0
+def _write_optimize_result(out: Path, subcommand: str, grid: GridSpec, result,
+                           cells_stem: str, cells, **extra) -> int:
+    """results.json, history.csv, the optimal cell values and the
+    eigenfields of an optimizer run."""
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "version": __version__, "subcommand": "optimize-potential",
+    write_json(out / "results.json", {
+        "version": __version__, "subcommand": subcommand,
         "objective": result.objective,
         "constraint_value": result.constraint_value,
-        "saturation_shift": result.saturation_shift,
         "converged": result.converged,
+        **extra,
         **_spectral_payload(result.spectrum),
-    }
-    write_json(out / "results.json", payload)
-    _write_history_csv(out / "history.csv", result.history)
-    dump_cells(grid, result.potential, "csv", out / "V.csv")
-    if grid.dim == 2:
-        dump_cells(grid, result.potential, "pgm", out / "V.pgm")
+    })
+    rows = ["iteration,objective,constraint"] + [
+        f"{r.iteration},{_fmt(r.objective)},{_fmt(r.constraint)}"
+        for r in result.history]
+    (out / "history.csv").write_text("\n".join(rows) + "\n")
+    _dump_formats(out, cells_stem, grid, grid.cell_centers(),
+                  np.asarray(cells, dtype=float).reshape(grid.cells_shape))
     _dump_eigenfields(out, grid, result.spectrum)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def run_optimize_set(config: dict, out: Path, seed: int,
-                     timings: dict) -> int:
-    grid = _parse_grid(config["grid"])
-    weights = _parse_weights(grid, config["weights"])
-    objective = _parse_objective(config["objective"])
-    constraint = _parse_constraint(config["constraint"])
-    opts, _ = _parse_solver_options(config.get("solver"))
-    options = config.get("options", {})
+def run_optimize_potential(inputs: dict, out: Path, timings: dict) -> int:
     t0 = time.perf_counter()
-    try:
-        result = optimize_set(
-            grid, weights, objective, constraint, seed=seed, options=opts,
-            n_starts=int(options.get("n_starts", 3)),
-            soft_walls=tuple(options.get("soft_walls", (1e2, 1e4))),
-            max_thresh_iter=int(options.get("max_thresh_iter", 30)))
-    except InfeasibleConstraint as exc:
-        raise ValidationError(f"constraint: {exc}") from exc
+    result = optimize_potential(
+        inputs["grid"], inputs["weights"], inputs["objective"],
+        inputs["constraint"], seed=inputs["seed"], options=inputs["solver"],
+        max_iter=inputs["optimizer"]["max_iter"])
     timings["optimize"] = time.perf_counter() - t0
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "version": __version__, "subcommand": "optimize-set",
-        "objective": result.objective,
-        "constraint_value": result.constraint_value,
-        "cells_kept": int(result.mask.sum()),
-        "converged": result.converged,
-        **_spectral_payload(result.spectrum),
-    }
-    write_json(out / "results.json", payload)
-    _write_history_csv(out / "history.csv", result.history)
-    dump_cells(grid, result.mask.astype(float), "csv", out / "mask.csv")
-    if grid.dim == 2:
-        dump_cells(grid, result.mask.astype(float), "pgm", out / "mask.pgm")
-    _dump_eigenfields(out, grid, result.spectrum)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return _write_optimize_result(
+        out, "optimize-potential", inputs["grid"], result, "V",
+        result.potential, saturation_shift=result.saturation_shift)
+
+
+def run_optimize_set(inputs: dict, out: Path, timings: dict) -> int:
+    optimizer = inputs["optimizer"]
+    t0 = time.perf_counter()
+    result = optimize_set(
+        inputs["grid"], inputs["weights"], inputs["objective"],
+        inputs["constraint"], seed=inputs["seed"], options=inputs["solver"],
+        n_starts=optimizer["n_starts"],
+        soft_walls=optimizer["soft_walls"],
+        max_thresh_iter=optimizer["max_thresh_iter"])
+    timings["optimize"] = time.perf_counter() - t0
+    return _write_optimize_result(
+        out, "optimize-set", inputs["grid"], result, "mask", result.mask,
+        cells_kept=int(result.mask.sum()))
 
 
 _RUNNERS = {
@@ -566,44 +513,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    quiet = args.quiet
 
     def say(msg):
-        if not quiet:
+        if not args.quiet:
             print(msg, file=sys.stderr)
 
     try:
-        raw = Path(args.config).read_text()
-    except OSError as exc:
+        config = json.loads(Path(args.config).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
         say(f"error: cannot read config: {exc}")
         return EXIT_VALIDATION
-    try:
-        config = json.loads(raw)
     except json.JSONDecodeError as exc:
         say(f"error: malformed JSON: {exc}")
         return EXIT_VALIDATION
     try:
-        config = validate_config(config, args.subcommand)
+        inputs = validate_config(config, args.subcommand)
     except ValidationError as exc:
         say(f"error: {exc}")
         return EXIT_VALIDATION
+    if args.seed is not None:
+        if args.seed < 0:
+            say("error: --seed must be >= 0")
+            return EXIT_VALIDATION
+        inputs["seed"] = args.seed
 
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     out = Path(args.out)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     try:
-        # runners create out only after their inputs validate
-        code = _RUNNERS[args.subcommand](config, out, seed, timings)
-    except ValidationError as exc:
-        say(f"error: {exc}")
+        # runners create out only after their solve returns
+        code = _RUNNERS[args.subcommand](inputs, out, timings)
+    except InfeasibleConstraint as exc:
+        say(f"error: constraint: {exc}")
         return EXIT_VALIDATION
     wall = time.perf_counter() - t0
     write_json(out / "manifest.json", {
         "version": __version__,
         "subcommand": args.subcommand,
-        "config_hash": config_hash(config, seed),
-        "seed": seed,
+        "config_hash": config_hash(config, inputs["seed"]),
+        "seed": inputs["seed"],
         "wall_time_s": wall,
         "timings": timings,
     })

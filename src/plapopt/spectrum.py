@@ -674,8 +674,7 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
         mat = _orthonormal_rows(mat)
         try:
             return SubspaceCandidate(
-                tuple(_embed(grid, idx, row[idx] if row.size == grid.n_nodes
-                             else row) for row in mat))
+                tuple(_embed(grid, idx, row[idx]) for row in mat))
         except ValueError:
             return None
 
@@ -713,7 +712,6 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
         return None
 
     val, cand, xi = best
-    non_improving = 0
     for _ in range(opts.max_outer_iter):
         parts = _field_parts(ctx, cand.combine(xi))
         gradR = _node_gradient(ctx, parts.df - val * _on_all_rows(
@@ -740,10 +738,8 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
                     break
             step *= 0.25
         if not improved:
-            non_improving += 1
-            if non_improving >= 1:
-                break
-        elif (best[0] - val) <= 1e-7 * max(abs(val), 1.0):
+            break
+        if (best[0] - val) <= 1e-7 * max(abs(val), 1.0):
             best = (val, cand, xi)
             break
         if val < best[0]:

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plapopt.grid import GridSpec, Field
 from plapopt.cli import (
@@ -181,6 +186,8 @@ def test_infeasible_constraint_exits_2(tmp_path):
     ("solver", "m_max", 0),
     ("solver", "m_max", 99),
     ("measure", "atoms", 5),
+    ("weights", "w1", [None]),
+    ("measure", "density", "abc"),
 ])
 def test_invalid_solve_values_exit_2_before_writing(tmp_path, capsys,
                                                     section, key, value):
@@ -193,6 +200,132 @@ def test_invalid_solve_values_exit_2_before_writing(tmp_path, capsys,
     assert not out.exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REMOVE = object()
+
+
+@pytest.mark.parametrize("subcommand,name,section,key,value", [
+    ("gamma-diag", "gamma_half_wall", "gamma", "mask", REMOVE),
+    ("gamma-diag", "gamma_half_wall", "gamma", "s_values", ["a", 1.0]),
+    ("gamma-diag", "gamma_half_wall", "gamma", "m", "x"),
+    ("gamma-diag", "gamma_half_wall", "gamma", "slack", "x"),
+    ("gamma-diag", "gamma_half_wall", "gamma", "tail", "x"),
+    ("optimize-potential", "optimize_potential_exp", "options", "max_iter",
+     "abc"),
+    ("optimize-potential", "optimize_potential_exp", "objective", "weights",
+     5),
+    ("optimize-set", "optimize_set_half_volume", "options", "n_starts",
+     "abc"),
+    ("optimize-set", "optimize_set_half_volume", "options", "soft_walls", 5),
+    ("optimize-set", "optimize_set_half_volume", "options",
+     "max_thresh_iter", "x"),
+])
+def test_invalid_shipped_config_values_exit_2_before_writing(
+        tmp_path, capsys, subcommand, name, section, key, value):
+    payload = json.loads((CONFIGS / f"{name}.json").read_text())
+    payload.setdefault(section, {})
+    if value is REMOVE:
+        del payload[section][key]
+    else:
+        payload[section][key] = value
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    code = main([subcommand, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"{section}.{key}" in err[0], err
+
+
+_SMALL_SOLVER = {"m_max": 2, "n_starts": 4, "max_ascent_iter": 20,
+                 "max_outer_iter": 2}
+_GRID_1D = {"dim": 1, "n": 8, "lengths": [1.0], "p": 2.0}
+_GRID_2D = {"dim": 2, "n": 6, "lengths": [1.0, 1.0], "p": 2.0}
+TINY_CONFIGS = {
+    "solve": {
+        "grid": _GRID_1D, "seed": 0,
+        "measure": {"kind": "potential", "density": 1.0,
+                    "mask": [1, 1, 1, 1, 0, 0, 0, 0], "atoms": [[3, 0.5]]},
+        "weights": {"w1": 1.0, "w1_atoms": [[2, 0.5]], "w2": 0.0},
+        "solver": _SMALL_SOLVER,
+    },
+    "torsion": {
+        "grid": _GRID_2D, "seed": 0,
+        "measure": {"kind": "quasi_open", "mask": [1] * 30 + [0] * 6},
+    },
+    "gamma-diag": {
+        "grid": _GRID_1D, "seed": 0,
+        "weights": {"w1": 1.0},
+        "gamma": {"mask": [1, 1, 1, 1, 0, 0, 0, 0],
+                  "s_values": [10.0, 1e3, 1e6], "m": 1, "slack": 1e-3,
+                  "tail": 3, "psi": {"kind": "exp", "beta": 1.0},
+                  "run_usc": True},
+        "solver": _SMALL_SOLVER,
+    },
+    "optimize-potential": {
+        "grid": _GRID_1D, "seed": 0,
+        "weights": {"w1": 1.0},
+        "objective": {"kind": "single", "k": 1},
+        "constraint": {"kind": "psi_budget", "c": 0.5,
+                       "psi": {"kind": "exp", "beta": 1.0}},
+        "options": {"max_iter": 2},
+        "solver": _SMALL_SOLVER,
+    },
+    "optimize-set": {
+        "grid": _GRID_2D, "seed": 0,
+        "weights": {"w1": 1.0},
+        "objective": {"kind": "weighted_sum", "weights": [1.0, 0.5]},
+        "constraint": {"kind": "volume", "c": 0.5},
+        "options": {"max_iter": 2, "n_starts": 1, "soft_walls": [100.0],
+                    "max_thresh_iter": 3},
+        "solver": _SMALL_SOLVER,
+    },
+}
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every value that is not an object: lists and their items."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+        return
+    yield path
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+
+
+_DRAWN = st.one_of(
+    st.none(), st.text(max_size=4), st.booleans(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.integers(-3, 3), st.floats(-3.0, 3.0))
+
+
+@pytest.mark.parametrize("subcommand", sorted(TINY_CONFIGS))
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_one_changed_value_exits_0_2_or_3(subcommand, data):
+    payload = json.loads(json.dumps(TINY_CONFIGS[subcommand]))
+    path = data.draw(st.sampled_from(list(_leaf_paths(payload))))
+    parent = payload
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = data.draw(_DRAWN)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), payload)
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out.exists()
+            lines = err.getvalue().strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 def test_field_csv_roundtrip(tmp_path):
