@@ -68,8 +68,8 @@ class EnergyContext:
         out[self.blocked_adjacent()] = 0.0
         return out
 
-    def feasibility_tol(self, g1_value: float) -> float:
-        return 1e-12 * max(abs(g1_value), 1e-300)
+    def feasibility_tol(self, g1_value):
+        return 1e-12 * np.maximum(np.abs(g1_value), 1e-300)
 
     @functools.cached_property
     def _rows(self) -> _Rows:
@@ -127,6 +127,7 @@ class _Parts(NamedTuple):
 
     The gradient of f in the unknowns x is K^T df.  g1 and g2 only see
     the measure rows, so their gradients are K[n_grad:]^T dg1 and dg2.
+    A stack of S rows y gives S values and S rows of weights.
     """
 
     f: float
@@ -169,29 +170,35 @@ def _kernel(ctx: EnergyContext, y: np.ndarray, eps: float,
             smooth_f: bool = False) -> _Parts:
     """f, g1, g2 and their gradient weights from y = K x in one pass.
 
-    For p < 2, eps smooths |grad|^2 in the gradient weights (see
-    _grad_weights); the value of f stays exact unless smooth_f asks for
-    the smoothed energy that those weights differentiate.
+    y may be a stack (S, rows); each row gets the operations, and so the
+    bits, of a call on it alone.  For p < 2, eps smooths |grad|^2 in the
+    gradient weights (see _grad_weights); the value of f stays exact
+    unless smooth_f asks for the smoothed energy that those weights
+    differentiate.
     """
     rows = ctx._rows
     p = ctx.grid.p
-    grads = y[:rows.n_grad].reshape(ctx.grid.dim, -1)
-    meas = y[rows.n_grad:]
-    s = (grads * grads).sum(axis=0)
+    stack = y.shape[:-1]
+    grads = y[..., :rows.n_grad].reshape(*stack, ctx.grid.dim, -1)
+    meas = y[..., rows.n_grad:]
+    s = (grads * grads).sum(axis=-2)
     t, w = _grad_weights(p, s, eps, rows.keep)
     if smooth_f or t is s:
-        dirichlet = w @ t                   # t^(p/2) = t^((p-2)/2) t
+        dirichlet = np.vecdot(w, t)         # t^(p/2) = t^((p-2)/2) t
     else:
-        dirichlet = rows.keep @ s ** (p / 2.0)
+        dirichlet = np.vecdot(rows.keep, s ** (p / 2.0))
     odd = _odd(meas, p)
     dmeas = rows.f * odd
     dg1 = rows.g1 * odd
     dg2 = rows.g2 * odd
     # |y|^p = y sign(y) |y|^(p-1): each measure term is <meas, weights>
-    f = rows.vol * float(dirichlet) + float(dmeas @ meas)
-    df = np.concatenate(((rows.vol * w * grads).reshape(-1), dmeas))
-    return _Parts(f / p, float(dg1 @ meas) / p, float(dg2 @ meas) / p,
-                  df, dg1, dg2)
+    f = rows.vol * dirichlet + np.vecdot(dmeas, meas)
+    g1, g2 = np.vecdot(dg1, meas), np.vecdot(dg2, meas)
+    if not stack:
+        f, g1, g2 = float(f), float(g1), float(g2)
+    df = np.concatenate(((rows.vol * w[..., None, :] * grads)
+                         .reshape(*stack, -1), dmeas), axis=-1)
+    return _Parts(f / p, g1 / p, g2 / p, df, dg1, dg2)
 
 
 def _field_parts(ctx: EnergyContext, u: Field) -> _Parts:

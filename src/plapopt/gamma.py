@@ -124,17 +124,19 @@ def _lambda_of(mu: CapacitaryMeasure, weights: WeightPair, m: int,
     return result.value(m), result.status_of(m)
 
 
-def _solved_torsion(mu: CapacitaryMeasure):
-    w, report = torsion(mu)
-    if not report.converged:
-        raise RuntimeError("torsion solver did not converge")
-    return w
-
-
-def _distances(seq: MeasureSequence, members) -> list[float]:
-    """gamma_distance of each member to the limit, solving the limit once."""
-    w_limit = _solved_torsion(seq.limit)
-    return [field_distance_p(_solved_torsion(mu), w_limit) for mu in members]
+def _distances(seq: MeasureSequence, members):
+    """gamma_distance of each member to the limit, solving the limit once,
+    and the names of the measures whose torsion did not converge; their
+    distances (all of them for the limit) are nan."""
+    first = len(seq.elements) - len(members)
+    names = ["the limit"] + [f"sequence element {first + j}"
+                             for j in range(len(members))]
+    solves = [torsion(mu) for mu in [seq.limit, *members]]
+    failed = [name for name, (_, report) in zip(names, solves)
+              if not report.converged]
+    w_limit, *ws = [w if report.converged else None for w, report in solves]
+    return [math.nan if w is None or w_limit is None
+            else field_distance_p(w, w_limit) for w in ws], failed
 
 
 def _distances_converge(distances: list[float], slack: float) -> bool:
@@ -150,7 +152,7 @@ def _eigen_check(seq: MeasureSequence, weights: WeightPair, m: int,
                  mode: str, slack: float, tail: int, seed: int,
                  options: SolverOptions | None) -> SemicontinuityReport:
     members = list(_tail(list(seq.elements), tail))
-    distances = _distances(seq, members)
+    distances, failed = _distances(seq, members)
     values, statuses = [], []
     for j, mu in enumerate(members):
         lam, status = _lambda_of(mu, weights, m, seed + j, options)
@@ -162,7 +164,10 @@ def _eigen_check(seq: MeasureSequence, weights: WeightPair, m: int,
 
     inconclusive = any(s == "unresolved" for s in statuses)
     note = ""
-    if not _distances_converge(distances, slack):
+    if failed:
+        inconclusive = True
+        note = "torsion did not converge for " + ", ".join(failed)
+    elif not _distances_converge(distances, slack):
         inconclusive = True
         note = "gamma-distance tail is not settling toward the limit"
 

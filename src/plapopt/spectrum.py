@@ -187,19 +187,25 @@ def _normalize(ctx: EnergyContext, u: Field) -> Field:
 # inner supremum on a subspace sphere
 
 def _sphere_project(xi: np.ndarray) -> np.ndarray:
-    return xi / np.linalg.norm(xi)
+    """xi scaled to unit length; a stack (S, m) row by row."""
+    return xi / np.sqrt(np.vecdot(xi, xi))[..., None]
 
 
-def _starts(m: int, n_starts: int, rng: np.random.Generator) -> list[np.ndarray]:
-    starts = []
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        starts.append(e.copy())
-        starts.append(-e)
-    while len(starts) < n_starts:
-        starts.append(_sphere_project(rng.standard_normal(m)))
-    return starts[:max(n_starts, 2 * m)]
+def _starts(m: int, n_starts: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows e_1, -e_1, ..., e_m, -e_m, then random unit vectors."""
+    signed = np.stack([np.eye(m), -np.eye(m)], axis=1).reshape(2 * m, m)
+    extra = rng.standard_normal((max(n_starts - 2 * m, 0), m))
+    return np.concatenate([signed, _sphere_project(extra)])
+
+
+def _push(M, x):
+    """M x, row by row for a stack x: the BLAS call of one vector."""
+    return M @ x if x.ndim == 1 else np.matmul(M, x[:, :, None])[:, :, 0]
+
+
+def _pull(v, M):
+    """v M, row by row for a stack v."""
+    return v @ M if v.ndim == 1 else np.matmul(v[:, None, :], M)[:, 0, :]
 
 
 class _SubspaceEval:
@@ -209,7 +215,7 @@ class _SubspaceEval:
     of a subspace candidate (x are its coefficients) or the embedding of
     the free nodes.  The energy kernel runs on (K M) x and the gradients
     map back through (K M)^T, so every evaluation is one small matrix
-    product each way.
+    product each way.  x may be one vector or a stack (S, m), one per row.
     """
 
     def __init__(self, ctx: EnergyContext, KM, violates: bool = False):
@@ -227,11 +233,15 @@ class _SubspaceEval:
                    bool(np.any(V[:, badj] != 0.0)))
 
     def parts(self, x):
-        return _kernel(self.ctx, self.KM @ x, self.ctx.eps_reg)
+        return _kernel(self.ctx, _push(self.KM, x), self.ctx.eps_reg)
 
     def denom_grad(self, x):
         parts = self.parts(x)
-        return parts.g1 - parts.g2, (parts.dg1 - parts.dg2) @ self.KM_meas
+        return parts.g1 - parts.g2, _pull(parts.dg1 - parts.dg2, self.KM_meas)
+
+    def _ratio_gradient(self, parts, val, denom):
+        return (_pull(parts.df, self.KM)
+                - val * _pull(parts.dg1 - parts.dg2, self.KM_meas)) / denom
 
     def ratio_grad(self, x):
         """(value, gradient) of f/(g1-g2); (inf, None) off the cone."""
@@ -242,76 +252,95 @@ class _SubspaceEval:
         if denom <= self.ctx.feasibility_tol(parts.g1):
             return math.inf, None
         val = parts.f / denom
-        grad = (parts.df @ self.KM
-                - val * ((parts.dg1 - parts.dg2) @ self.KM_meas))
-        return val, grad / denom
+        return val, self._ratio_gradient(parts, val, denom)
+
+    def ratio_stack(self, X):
+        """Values (S,) and gradients (S, m) of the ratio at the rows of X;
+        off the cone the value is inf and the gradient meaningless."""
+        parts = self.parts(X)
+        denom = parts.g1 - parts.g2
+        on = denom > self.ctx.feasibility_tol(parts.g1)
+        denom = np.where(on, denom, 1.0)
+        val = parts.f / denom
+        return (np.where(on, val, np.inf),
+                self._ratio_gradient(parts, val[:, None], denom[:, None]))
+
+
+def _sphere_descent(fun, X: np.ndarray, max_iter: int, tol: float,
+                    floor: float = -math.inf):
+    """Projected descent on the unit sphere from every row of X at once.
+
+    fun maps a stack (S, m) to values (S,), +inf off its domain, and
+    gradients.  Each row steps along its normalized tangential gradient,
+    the step growing by 1.7 after a decrease and halving otherwise; it
+    stops after max_iter iterations, at tangential gradient <= tol *
+    max(1, |value|) or at step <= 1e-14.  All stop once a value is below
+    floor.  A round evaluates fun once on the moving rows with the
+    arithmetic of a single start.  Returns the final values and points.
+    """
+    X = _sphere_project(X)
+    val, G = fun(X)
+    step = np.full(len(val), 0.5)
+    iters = np.zeros(len(val), dtype=int)
+    moving = np.isfinite(val)
+    fresh = moving.copy()              # rows that begin an iteration
+    while not (val < floor).any():
+        # a row that kept its point recomputes the same direction
+        tang = G - np.vecdot(G, X)[:, None] * X
+        tn = np.sqrt(np.vecdot(tang, tang))
+        moving &= ~fresh | ((iters < max_iter)
+                            & (tn > tol * np.maximum(1.0, np.abs(val))))
+        iters += fresh
+        a = moving.nonzero()[0]
+        if a.size == 0:
+            break
+        X_new = _sphere_project(
+            X[a] - step[a, None] * tang[a] / tn[a, None])
+        val_new, G_new = fun(X_new)
+        down = val_new < val[a]
+        acc = a[down]
+        X[acc], val[acc], G[acc] = X_new[down], val_new[down], G_new[down]
+        step[a] *= np.where(down, 1.7, 0.5)
+        moving[a] = step[a] > 1e-14
+        fresh[:] = False
+        fresh[acc] = True
+    return val, X
 
 
 def _sphere_min_denominator(ev: _SubspaceEval, starts) -> float:
     """Approximate min of g1 - g2 over the unit coefficient sphere."""
-    best = math.inf
-    for xi in starts:
-        xi = _sphere_project(xi)
-        d, grad = ev.denom_grad(xi)
-        step = 0.5
-        for _ in range(80):
-            tang = grad - np.dot(grad, xi) * xi
-            tn = np.linalg.norm(tang)
-            if tn < 1e-14 * max(1.0, abs(d)):
-                break
-            improved = False
-            while step > 1e-14:
-                xi_new = _sphere_project(xi - step * tang / tn)
-                d_new, grad_new = ev.denom_grad(xi_new)
-                if d_new < d:
-                    xi, d, grad = xi_new, d_new, grad_new
-                    improved = True
-                    step *= 1.7
-                    break
-                step *= 0.5
-            if not improved or d < 0:
-                break
-        best = min(best, d)
-        if best < 0:
-            break
-    return best
+    val, _ = _sphere_descent(ev.denom_grad, starts, 80, 1e-14, floor=0.0)
+    return float(val.min())
 
 
-def _ascend_ratio(ev: _SubspaceEval, xi, max_iter):
-    xi = _sphere_project(xi)
-    val, grad = ev.ratio_grad(xi)
-    if not math.isfinite(val):
-        return val, xi
-    step = 0.5
-    for _ in range(max_iter):
-        tang = grad - np.dot(grad, xi) * xi
-        tn = np.linalg.norm(tang)
-        if tn <= 1e-11 * max(1.0, abs(val)):
-            break
-        moved = False
-        while step > 1e-14:
-            xi_new = _sphere_project(xi + step * tang / tn)
-            val_new, grad_new = ev.ratio_grad(xi_new)
-            if math.isfinite(val_new) and val_new > val:
-                xi, val, grad = xi_new, val_new, grad_new
-                moved = True
-                step *= 1.7
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return val, xi
+def _sphere_g1_floor(ev: _SubspaceEval) -> float:
+    """A proven lower bound of g1 - g2 on the unit sphere if nu2 = 0, else 0.
+
+    Then g1 - g2 = g1 = |A xi|_p^p / p, A = C^(1/p) K_meas V^T on the r
+    rows of positive weight c, and |A xi|_p^p >= r^min(0, 1 - p/2)
+    sigma_min(A)^p on the unit sphere.
+    """
+    rows, p = ev.ctx._rows, ev.ctx.p
+    pos = rows.g1 > 0
+    if rows.g2.any() or np.count_nonzero(pos) < ev.m:
+        return 0.0
+    A = rows.g1[pos, None] ** (1.0 / p) * ev.KM_meas[pos]
+    sv = np.linalg.svd(A, compute_uv=False)
+    # the computed singular values are exact up to eps times the largest
+    smin = max(sv[-1] - 1e-12 * sv[0], 0.0)
+    return A.shape[0] ** min(0.0, 1.0 - p / 2.0) * smin ** p / p
 
 
 def _sup_general(ev: _SubspaceEval, starts, opts: SolverOptions):
-    best_val, best_xi = -math.inf, None
-    for xi in starts:
-        val, xi_out = _ascend_ratio(ev, xi, opts.max_ascent_iter)
-        if math.isfinite(val) and val > best_val:
-            best_val, best_xi = val, xi_out
-    if best_xi is None:
+    def neg_ratio(X):
+        val, grad = ev.ratio_stack(X)
+        return np.where(np.isfinite(val), -val, np.inf), -grad
+
+    val, X = _sphere_descent(neg_ratio, starts, opts.max_ascent_iter, 1e-11)
+    best = int(np.argmin(val))
+    if not math.isfinite(val[best]):
         raise InfeasibleSubspace("no feasible start on the sphere")
-    return best_val, best_xi
+    return float(-val[best]), X[best]
 
 
 def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
@@ -324,6 +353,12 @@ def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
     Returns (value, argmax coefficients).  Raises InfeasibleSubspace when
     the sphere is not strictly inside the cone g1 - g2 > 0; for p = 2 the
     value is the largest eigenvalue of the restricted m x m pencil.
+
+    For general p and m >= 2, projected ascent runs from all starts (+-e_j
+    and random unit vectors) as one stack through the energy kernel, each
+    with its own step and stop.  Feasibility needs min(g1 - g2) above
+    1e-10 of the g-scale: with nu2 = 0 a singular-value bound of g1 may
+    prove it, else the same stacked search descends g1 - g2.
     """
     opts = options or SolverOptions()
     m = candidate.m
@@ -351,36 +386,29 @@ def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
         return val, np.array([1.0])
 
     starts = _starts(m, opts.n_starts, rng)
-    scale = _sphere_denominator_scale(ev)
+    threshold = 1e-10 * _sphere_denominator_scale(ev)
+    if _sphere_g1_floor(ev) <= threshold:
+        feas_starts = starts if _warm_xi is None else starts[:2 * m + 4]
+        min_denom = _sphere_min_denominator(ev, feas_starts)
+        if min_denom <= threshold:
+            raise InfeasibleSubspace(
+                f"sphere reaches g1 - g2 = {min_denom:.3e}")
     if _warm_xi is not None:
-        feas_starts = starts[:2 * m + 4]
-    else:
-        feas_starts = starts
-    min_denom = _sphere_min_denominator(ev, feas_starts)
-    if min_denom <= 1e-10 * scale:
-        raise InfeasibleSubspace(
-            f"sphere reaches g1 - g2 = {min_denom:.3e}")
-    if _warm_xi is not None:
-        starts = [_warm_xi] + starts[:max(2 * m, 4)]
+        starts = np.vstack([_warm_xi, starts[:max(2 * m, 4)]])
     return _sup_general(ev, starts, opts)
 
 
 def _sphere_denominator_scale(ev: _SubspaceEval) -> float:
-    vals = []
-    for j in range(ev.m):
-        e = np.zeros(ev.m)
-        e[j] = 1.0
-        parts = ev.parts(e)
-        vals.append(abs(parts.g1) + abs(parts.g2))
-    return max(max(vals), 1e-300)
+    parts = ev.parts(np.eye(ev.m))
+    return max(float(np.max(np.abs(parts.g1) + np.abs(parts.g2))), 1e-300)
 
 
 def _sup_on_sphere_p2(ev: _SubspaceEval):
-    # the quadratic forms on the subspace: column j is the
-    # coefficient-space gradient at the j-th basis vector
-    cols = [ev.parts(e) for e in np.eye(ev.m)]
-    Ar = np.stack([c.df @ ev.KM for c in cols], axis=1)
-    Br = np.stack([(c.dg1 - c.dg2) @ ev.KM_meas for c in cols], axis=1)
+    # the quadratic forms on the subspace: row j is the coefficient-space
+    # gradient at the j-th basis vector
+    parts = ev.parts(np.eye(ev.m))
+    Ar = _pull(parts.df, ev.KM)
+    Br = _pull(parts.dg1 - parts.dg2, ev.KM_meas)
     Ar, Br = 0.5 * (Ar + Ar.T), 0.5 * (Br + Br.T)
     bmin = sla.eigh(Br, eigvals_only=True)[0]
     scale = max(np.abs(Br).max(), 1e-300)
@@ -390,7 +418,7 @@ def _sup_on_sphere_p2(ev: _SubspaceEval):
             f"(min eig {bmin:.3e})")
     vals, vecs = sla.eigh(Ar, Br)
     xi = vecs[:, -1]
-    return float(vals[-1]), _sphere_project(xi)
+    return float(vals[-1]), xi / np.linalg.norm(xi)
 
 
 # ----------------------------------------------------------------------

@@ -133,6 +133,37 @@ def test_gamma_diag_run(tmp_path):
     assert report["checks"]["psi_lsc"]["passed"]
 
 
+def test_gamma_diag_unconverged_torsion_exits_3(tmp_path, monkeypatch):
+    import plapopt.gamma as gamma_mod
+
+    solve = gamma_mod.torsion
+
+    def unconverged(mu, *args):
+        w, rep = solve(mu, *args)
+        return w, type(rep)(rep.iterations, rep.final_decrement, False)
+
+    monkeypatch.setattr(gamma_mod, "torsion", unconverged)
+    n = 16
+    cfg = write_config(tmp_path, {
+        "grid": {"dim": 1, "n": n, "lengths": [1.0], "p": 2.0},
+        "weights": {"w1": 1.0},
+        "gamma": {"mask": [1] * (n // 2) + [0] * (n // 2),
+                  "s_values": [10.0, 1e3], "m": 1,
+                  "psi": {"kind": "exp", "beta": 1.0}},
+    })
+    out = tmp_path / "out"
+    assert main(["gamma-diag", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 3
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    for check in ("lsc", "usc"):
+        assert checks[check]["inconclusive"]
+        assert checks[check]["distances"] == ["nan", "nan"]
+        assert checks[check]["note"] == \
+            "torsion did not converge for the limit, sequence element 0, " \
+            "sequence element 1"
+    assert (out / "manifest.json").exists()
+
+
 def test_optimize_potential_run(tmp_path):
     cfg = write_config(tmp_path, {
         "grid": {"dim": 1, "n": 48, "lengths": [1.0], "p": 2.0},

@@ -231,3 +231,32 @@ def test_residual_scaling(p):
     r1 = residual(ctx, u, lam)
     r2 = residual(ctx, Field(g, 3.0 * u.values), lam)
     assert math.isclose(r2, 3.0 ** (p - 1.0) * r1, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_on_a_stack_is_the_kernel_on_each_row(p, dim):
+    from plapopt.energy import _energy_map, _kernel
+
+    rng = np.random.default_rng(int(10 * p) + dim)
+    n = 12 if dim == 1 else 6
+    g = GridSpec(dim, n, (1.0,) * dim, p)
+    blocked = np.zeros(g.n_cells, dtype=bool)
+    blocked[[1, g.n_cells - 2]] = True
+    atoms = ((2, 0.7),) if p > dim else ()
+    mu = CapacitaryMeasure(g, 2.0 * rng.random(g.n_cells), blocked, atoms)
+    w1_atoms = ((g.n_nodes // 2, 0.4),) if p > dim else ()
+    weights = WeightPair(g, rng.random(g.n_cells), w1_atoms,
+                         0.3 * rng.random(g.n_cells))
+    ctx = EnergyContext(g, mu, weights)
+    X = rng.standard_normal((5, g.n_nodes))
+    X[2] = 0.0                        # vanishing gradients everywhere
+    Y = np.ascontiguousarray((_energy_map(ctx) @ X.T).T)
+    for eps, smooth_f in ((ctx.eps_reg, False), (ctx.eps_reg, True),
+                          (0.0, False), (1e-3, True)):
+        stack = _kernel(ctx, Y, eps, smooth_f)
+        for j, y in enumerate(Y):
+            one = _kernel(ctx, y, eps, smooth_f)
+            for a, b in zip(stack, one):
+                # the same operations row by row: bit-identical
+                np.testing.assert_array_equal(a[j], b)

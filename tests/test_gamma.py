@@ -162,8 +162,8 @@ def test_distances_solve_the_limit_torsion_once(monkeypatch):
 
     # the report of one gamma_distance solve pair per tail member
     with monkeypatch.context() as m:
-        m.setattr(gamma_mod, "_distances", lambda s, members: [
-            gamma_distance(mu, s.limit) for mu in members])
+        m.setattr(gamma_mod, "_distances", lambda s, members: ([
+            gamma_distance(mu, s.limit) for mu in members], []))
         before = lsc_check(seq, weights, 1)
 
     calls = []
@@ -179,11 +179,43 @@ def test_distances_solve_the_limit_torsion_once(monkeypatch):
     assert after.distances == [gamma_distance(mu, seq.limit) for mu in tail]
     assert len(calls) == len(tail) + 1
 
-    # an unconverged solve still raises, as in gamma_distance
-    def unconverged(mu, *args):
-        w, rep = solve(mu, *args)
-        return w, type(rep)(rep.iterations, rep.final_decrement, False)
 
-    monkeypatch.setattr(gamma_mod, "torsion", unconverged)
-    with pytest.raises(RuntimeError, match="converge"):
-        lsc_check(seq, weights, 1)
+def _unconverged_torsion(monkeypatch, which):
+    """Report converged=False for the torsion solves that which(mu) picks."""
+    import plapopt.gamma as gamma_mod
+
+    solve = gamma_mod.torsion
+
+    def torsion(mu, *args):
+        w, rep = solve(mu, *args)
+        if which(mu):
+            rep = type(rep)(rep.iterations, rep.final_decrement, False)
+        return w, rep
+
+    monkeypatch.setattr(gamma_mod, "torsion", torsion)
+
+
+def test_unconverged_torsion_gives_nan_distance_and_inconclusive(
+        monkeypatch):
+    g = GridSpec(1, 32, (1.0,), 2.0)
+    seq = blocked_limit_sequence(g, half_mask(32), [10.0, 1e2, 1e3, 1e4])
+    weights = lebesgue_weights(g)
+    clean = lsc_check(seq, weights, 1)
+    assert not clean.inconclusive
+
+    with monkeypatch.context() as m:
+        _unconverged_torsion(m, lambda mu: mu == seq.elements[2])
+        rep = lsc_check(seq, weights, 1)
+    assert rep.inconclusive and not rep.passed
+    assert rep.note == "torsion did not converge for sequence element 2"
+    assert math.isnan(rep.distances[1])
+    assert [d for j, d in enumerate(rep.distances) if j != 1] == \
+        [d for j, d in enumerate(clean.distances) if j != 1]
+    assert rep.tail_values == clean.tail_values
+
+    with monkeypatch.context() as m:
+        _unconverged_torsion(m, lambda mu: mu == seq.limit)
+        rep = usc_check(seq, weights, 1)
+    assert rep.inconclusive and not rep.passed
+    assert rep.note == "torsion did not converge for the limit"
+    assert all(math.isnan(d) for d in rep.distances)

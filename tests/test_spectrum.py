@@ -293,3 +293,138 @@ def test_m_max_validation():
         eigen_minimax(ctx, 7)
     with pytest.raises(ValueError):
         eigen_minimax(ctx, 0)
+
+
+def _weighted_ctx(p, rng):
+    """1D n = 16: a density and an atom in mu, w1 = 1, w2 = 0.3 U(0, 1)."""
+    g = GridSpec(1, 16, (1.0,), p)
+    mu = CapacitaryMeasure(g, 2.0 * rng.random(16), np.zeros(16, bool),
+                           ((5, 0.7),))
+    return EnergyContext(g, mu, WeightPair(g, 1.0, (), 0.3 * rng.random(16)))
+
+
+def _sine_candidate(g, m):
+    x = g.axis_nodes()
+    return SubspaceCandidate(tuple(
+        Field(g, np.sin(j * math.pi * x) + 0.3 * np.sin((j + 2) * math.pi * x))
+        for j in range(1, m + 1)))
+
+
+def _theta_max(fun, count=2001):
+    """Max of fun(theta) over [0, pi]: a dense scan, then a bounded Brent
+    search on the bracket of the best scan point."""
+    from scipy.optimize import minimize_scalar
+
+    thetas = np.linspace(0.0, math.pi, count)
+    vals = np.array([fun(t) for t in thetas])
+    k = int(np.argmax(vals))
+    h = thetas[1] - thetas[0]
+    res = minimize_scalar(lambda t: -fun(t), method="bounded",
+                          bounds=(thetas[k] - h, thetas[k] + h),
+                          options={"xatol": 1e-11})
+    return max(vals[k], -res.fun)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_sup_on_sphere_matches_a_theta_scan_of_rayleigh(p):
+    # the ratio is even, so the half circle (cos t, sin t), t in [0, pi],
+    # covers every direction of the plane
+    ctx = _weighted_ctx(p, np.random.default_rng(21))
+    cand = _sine_candidate(ctx.grid, 2)
+    val, _ = sup_on_sphere(ctx, cand, seed=0)
+    best = _theta_max(lambda t: rayleigh(
+        ctx, cand.combine(np.array([math.cos(t), math.sin(t)]))))
+    assert math.isclose(val, best, rel_tol=1e-7)
+
+
+def _reference_sup(ev, starts, max_iter):
+    """The per-start ascent loop that the block search runs row by row."""
+    best_val, best_xi = -math.inf, None
+    for xi in starts:
+        xi = xi / np.linalg.norm(xi)
+        val, grad = ev.ratio_grad(xi)
+        if not math.isfinite(val):
+            continue
+        step = 0.5
+        for _ in range(max_iter):
+            tang = grad - np.dot(grad, xi) * xi
+            tn = np.linalg.norm(tang)
+            if tn <= 1e-11 * max(1.0, abs(val)):
+                break
+            moved = False
+            while step > 1e-14:
+                xi_new = xi + step * tang / tn
+                xi_new = xi_new / np.linalg.norm(xi_new)
+                val_new, grad_new = ev.ratio_grad(xi_new)
+                if math.isfinite(val_new) and val_new > val:
+                    xi, val, grad = xi_new, val_new, grad_new
+                    moved = True
+                    step *= 1.7
+                    break
+                step *= 0.5
+            if not moved:
+                break
+        if val > best_val:
+            best_val, best_xi = val, xi
+    return best_val, best_xi
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_block_ascent_repeats_the_per_start_loop(p):
+    from plapopt.spectrum import _SubspaceEval, _starts, _sup_general
+
+    ctx = _weighted_ctx(p, np.random.default_rng(22))
+    ev = _SubspaceEval.of_candidate(ctx, _sine_candidate(ctx.grid, 3))
+    starts = _starts(3, 16, np.random.default_rng(5))
+    val, xi = _sup_general(ev, starts, FAST)
+    ref_val, ref_xi = _reference_sup(ev, starts, FAST.max_ascent_iter)
+    assert val == ref_val
+    np.testing.assert_array_equal(xi, ref_xi)
+
+
+def test_g1_floor_bounds_g1_on_the_sphere():
+    from plapopt.energy import g_energy
+    from plapopt.spectrum import (_SubspaceEval, _sphere_denominator_scale,
+                                  _sphere_g1_floor, _sphere_min_denominator,
+                                  _starts)
+
+    rng = np.random.default_rng(23)
+    fired = 0
+    for trial in range(12):
+        p = (1.5, 3.0)[trial % 2]
+        g = GridSpec(1, 16, (1.0,), p)
+        w1 = rng.random(16) * (rng.random(16) < 0.6)
+        atoms = ((int(rng.integers(15)), float(rng.random())),) \
+            if trial % 3 == 0 else ()
+        ctx = EnergyContext(g, zero_measure(g), WeightPair(g, w1, atoms))
+        cand = SubspaceCandidate(tuple(
+            Field(g, rng.standard_normal(g.n_nodes)) for _ in range(2)))
+        ev = _SubspaceEval.of_candidate(ctx, cand)
+        floor = _sphere_g1_floor(ev)
+        threshold = 1e-10 * _sphere_denominator_scale(ev)
+        if floor <= threshold:
+            continue
+        fired += 1
+        low = -_theta_max(lambda t: -g_energy(
+            ctx, cand.combine(np.array([math.cos(t), math.sin(t)])), 1))
+        assert low >= floor
+        # the descent it replaces reaches the same verdict
+        starts = _starts(2, 10, np.random.default_rng(trial))
+        assert _sphere_min_denominator(ev, starts) > threshold
+    assert fired >= 8
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_sphere_crossing_the_cone_with_nu2_raises(p):
+    from plapopt.spectrum import _SubspaceEval, _sphere_g1_floor
+
+    g = GridSpec(1, 16, (1.0,), p)
+    left = np.arange(16) < 8
+    ctx = EnergyContext(g, zero_measure(g),
+                        WeightPair(g, left.astype(float), (), 2.0 * ~left))
+    x = g.axis_nodes()
+    cand = SubspaceCandidate((Field(g, np.sin(2 * math.pi * x) * (x < 0.5)),
+                              Field(g, np.sin(2 * math.pi * x) * (x > 0.5))))
+    assert _sphere_g1_floor(_SubspaceEval.of_candidate(ctx, cand)) == 0.0
+    with pytest.raises(InfeasibleSubspace):
+        sup_on_sphere(ctx, cand, seed=0)
