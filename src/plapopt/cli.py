@@ -38,7 +38,7 @@ from plapopt.energy import EnergyContext
 from plapopt.torsion import torsion
 from plapopt.spectrum import M_MAX_LIMIT, SolverOptions, eigen_minimax
 from plapopt.gamma import blocked_limit_sequence, lsc_check, usc_check, \
-    psi_lsc_check
+    psi_lsc_check, solve_tail
 from plapopt.optimize import (
     ObjectiveSpec,
     ConstraintSpec,
@@ -419,11 +419,13 @@ def run_torsion(inputs: dict, out: Path, timings: dict) -> int:
 def run_gamma_diag(inputs: dict, out: Path, timings: dict) -> int:
     seq, weights, m = inputs["sequence"], inputs["weights"], inputs["m"]
     tails = {"slack": inputs["slack"], "tail": inputs["tail"]}
-    solves = {"seed": inputs["seed"], "options": inputs["solver"], **tails}
     t0 = time.perf_counter()
-    reports = {"lsc": lsc_check(seq, weights, m, **solves)}
+    # both checks judge the same solves
+    solves = solve_tail(seq, weights, m, tail=inputs["tail"],
+                        seed=inputs["seed"], options=inputs["solver"])
+    reports = {"lsc": lsc_check(seq, weights, m, solves=solves, **tails)}
     if inputs["run_usc"]:
-        reports["usc"] = usc_check(seq, weights, m, **solves)
+        reports["usc"] = usc_check(seq, weights, m, solves=solves, **tails)
     reports["psi_lsc"] = psi_lsc_check(seq, inputs["psi"], **tails)
     timings["gamma"] = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)

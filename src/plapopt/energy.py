@@ -23,6 +23,8 @@ from plapopt import operators
 from plapopt.grid import GridSpec, Field, blocked_adjacent_nodes
 from plapopt.measure import CapacitaryMeasure, WeightPair
 
+POWER_CLAMP = 1e14
+
 
 class ConstraintViolation(Exception):
     """The field sits outside the cone g1 - g2 > 0."""
@@ -138,8 +140,34 @@ class _Parts(NamedTuple):
     dg2: np.ndarray
 
 
+class _Curvature(NamedTuple):
+    """Hessian weights at y = K x, one row per row of a stack.
+
+    The Dirichlet block of a cell with gradient g is hcell I + hout g g^T;
+    on the measure rows hmeas = |y|^(p-2), clamped as by abs_pow, so the
+    second derivative of c |y|^p / p is (p - 1) c hmeas.
+    """
+
+    hcell: np.ndarray
+    hout: np.ndarray
+    hmeas: np.ndarray
+
+
 def _energy_map(ctx: EnergyContext):
     return operators.energy_map(ctx.grid, ctx.mu.atoms, ctx.weights.w1_atoms)
+
+
+def abs_pow(x, q):
+    """|x|^q with the q < 0 branch clamped at POWER_CLAMP."""
+    x = np.abs(np.asarray(x, dtype=float))
+    if q == 0.0:
+        return np.ones_like(x)
+    if q < 0:
+        out = np.zeros_like(x)
+        pos = x > 0
+        out[pos] = x[pos] ** q
+        return np.minimum(out, POWER_CLAMP)
+    return x ** q
 
 
 def _odd(x, p: float):
@@ -167,14 +195,15 @@ def _grad_weights(p: float, s: np.ndarray, eps: float, keep: np.ndarray):
 
 
 def _kernel(ctx: EnergyContext, y: np.ndarray, eps: float,
-            smooth_f: bool = False) -> _Parts:
+            smooth_f: bool = False, hess: bool = False):
     """f, g1, g2 and their gradient weights from y = K x in one pass.
 
     y may be a stack (S, rows); each row gets the operations, and so the
     bits, of a call on it alone.  For p < 2, eps smooths |grad|^2 in the
     gradient weights (see _grad_weights); the value of f stays exact
     unless smooth_f asks for the smoothed energy that those weights
-    differentiate.
+    differentiate.  hess returns the pair (_Parts, _Curvature) with the
+    Hessian weights of the same pass.
     """
     rows = ctx._rows
     p = ctx.grid.p
@@ -198,7 +227,12 @@ def _kernel(ctx: EnergyContext, y: np.ndarray, eps: float,
         f, g1, g2 = float(f), float(g1), float(g2)
     df = np.concatenate(((rows.vol * w[..., None, :] * grads)
                          .reshape(*stack, -1), dmeas), axis=-1)
-    return _Parts(f / p, g1 / p, g2 / p, df, dg1, dg2)
+    parts = _Parts(f / p, g1 / p, g2 / p, df, dg1, dg2)
+    if not hess:
+        return parts
+    w_outer = (p - 2.0) * np.divide(w, t, out=np.zeros_like(w), where=t > 0)
+    return parts, _Curvature(rows.vol * w, rows.vol * w_outer,
+                             abs_pow(meas, p - 2.0))
 
 
 def _field_parts(ctx: EnergyContext, u: Field) -> _Parts:

@@ -148,26 +148,52 @@ def _distances_converge(distances: list[float], slack: float) -> bool:
     return ok_trend and distances[-1] <= distances[0] + slack * scale
 
 
-def _eigen_check(seq: MeasureSequence, weights: WeightPair, m: int,
-                 mode: str, slack: float, tail: int, seed: int,
-                 options: SolverOptions | None) -> SemicontinuityReport:
+@dataclass
+class TailSolves:
+    """Torsion distances and eigenvalues of a sequence's tail and limit.
+
+    Solved once by solve_tail, they serve lsc_check and usc_check alike.
+    statuses lists the tail members' statuses, then the limit's; failed
+    names the measures whose torsion did not converge.
+    """
+
+    distances: list[float]
+    failed: list[str]
+    values: list[float]
+    statuses: list[str]
+    limit_value: float
+
+
+def solve_tail(seq: MeasureSequence, weights: WeightPair, m: int, *,
+               tail: int = DEFAULT_TAIL, seed: int = 0,
+               options: SolverOptions | None = None) -> TailSolves:
+    """Torsions and lambda_m of the last `tail` elements and the limit;
+    member j gets solver seed seed + j and the limit seed + tail length."""
     members = list(_tail(list(seq.elements), tail))
     distances, failed = _distances(seq, members)
     values, statuses = [], []
-    for j, mu in enumerate(members):
+    for j, mu in enumerate(members + [seq.limit]):
         lam, status = _lambda_of(mu, weights, m, seed + j, options)
         values.append(lam)
         statuses.append(status)
-    lam_limit, status_limit = _lambda_of(seq.limit, weights, m,
-                                         seed + len(members), options)
-    statuses.append(status_limit)
+    return TailSolves(distances, failed, values[:-1], statuses, values[-1])
 
-    inconclusive = any(s == "unresolved" for s in statuses)
+
+def _eigen_check(seq: MeasureSequence, weights: WeightPair, m: int,
+                 mode: str, slack: float, tail: int, seed: int,
+                 options: SolverOptions | None,
+                 solves: TailSolves | None) -> SemicontinuityReport:
+    if solves is None:
+        solves = solve_tail(seq, weights, m, tail=tail, seed=seed,
+                            options=options)
+    values, lam_limit = solves.values, solves.limit_value
+
+    inconclusive = any(s == "unresolved" for s in solves.statuses)
     note = ""
-    if failed:
+    if solves.failed:
         inconclusive = True
-        note = "torsion did not converge for " + ", ".join(failed)
-    elif not _distances_converge(distances, slack):
+        note = "torsion did not converge for " + ", ".join(solves.failed)
+    elif not _distances_converge(solves.distances, slack):
         inconclusive = True
         note = "gamma-distance tail is not settling toward the limit"
 
@@ -183,31 +209,38 @@ def _eigen_check(seq: MeasureSequence, weights: WeightPair, m: int,
     passed = margin >= -slack * scale and not inconclusive
     return SemicontinuityReport(
         check="lsc" if mode == "liminf" else "usc", m=m,
-        limit_value=lam_limit, tail_values=values, estimate=est,
+        limit_value=lam_limit, tail_values=list(values), estimate=est,
         margin=float(margin), slack=slack, passed=passed,
-        inconclusive=inconclusive, distances=distances,
-        statuses=statuses, note=note)
+        inconclusive=inconclusive, distances=list(solves.distances),
+        statuses=list(solves.statuses), note=note)
 
 
 def lsc_check(seq: MeasureSequence, weights: WeightPair, m: int, *,
               slack: float = DEFAULT_SLACK, tail: int = DEFAULT_TAIL,
-              seed: int = 0,
-              options: SolverOptions | None = None) -> SemicontinuityReport:
-    """Check lambda_m(limit) <= liminf of the sequence values + slack."""
-    return _eigen_check(seq, weights, m, "liminf", slack, tail, seed, options)
+              seed: int = 0, options: SolverOptions | None = None,
+              solves: TailSolves | None = None) -> SemicontinuityReport:
+    """Check lambda_m(limit) <= liminf of the sequence values + slack.
+
+    solves, from solve_tail, replaces the solves that tail, seed and
+    options would ask for.
+    """
+    return _eigen_check(seq, weights, m, "liminf", slack, tail, seed,
+                        options, solves)
 
 
 def usc_check(seq: MeasureSequence, weights: WeightPair, m: int, *,
               slack: float = DEFAULT_SLACK, tail: int = DEFAULT_TAIL,
-              seed: int = 0,
-              options: SolverOptions | None = None) -> SemicontinuityReport:
+              seed: int = 0, options: SolverOptions | None = None,
+              solves: TailSolves | None = None) -> SemicontinuityReport:
     """Check lambda_m(limit) >= limsup of the sequence values - slack.
 
     Requires nu2 = 0; upper semicontinuity can genuinely fail otherwise.
+    solves works as in lsc_check.
     """
     if weights.w2.any():
         raise ValueError("usc requires nu2 = 0")
-    return _eigen_check(seq, weights, m, "limsup", slack, tail, seed, options)
+    return _eigen_check(seq, weights, m, "limsup", slack, tail, seed,
+                        options, solves)
 
 
 def psi_lsc_check(seq: MeasureSequence, psi: PsiSpec, *,

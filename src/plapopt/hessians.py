@@ -6,7 +6,7 @@ positive semidefinite for every p > 1; density and atom terms contribute
 diagonals (p-1) w |u|^(p-2).  Negative powers of |u| are clamped so the
 Newton model stays bounded near zeros of the field.  Each Hessian is
 K^T M K for the restricted energy map K and a weight matrix M laid out
-like its rows.
+like its rows, with the weights of the energy kernel.
 """
 
 from __future__ import annotations
@@ -14,23 +14,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from plapopt.energy import EnergyContext, _energy_map, _grad_weights
+from plapopt.energy import EnergyContext, _energy_map, _kernel, abs_pow
 from plapopt.grid import Field
-
-POWER_CLAMP = 1e14
-
-
-def abs_pow(x, q):
-    """|x|^q with the q < 0 branch clamped at POWER_CLAMP."""
-    x = np.abs(np.asarray(x, dtype=float))
-    if q == 0.0:
-        return np.ones_like(x)
-    if q < 0:
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = x[pos] ** q
-        return np.minimum(out, POWER_CLAMP)
-    return x ** q
 
 
 def _sandwich(K, idx: np.ndarray, entries) -> sp.spmatrix:
@@ -41,33 +26,30 @@ def _sandwich(K, idx: np.ndarray, entries) -> sp.spmatrix:
     return Kf.T @ (M @ Kf)
 
 
-def _measure_diagonal(ctx: EnergyContext, y: np.ndarray, coef: np.ndarray):
+def _measure_diagonal(ctx: EnergyContext, hmeas: np.ndarray,
+                      coef: np.ndarray):
     """Second derivative of sum coef |y|^p / p over the measure rows."""
-    n_grad = ctx._rows.n_grad
-    r = np.arange(n_grad, y.size)
-    return r, r, (ctx.p - 1.0) * coef * abs_pow(y[n_grad:], ctx.p - 2.0)
+    r = np.arange(ctx._rows.n_grad, ctx._rows.n_grad + hmeas.size)
+    return r, r, (ctx.p - 1.0) * coef * hmeas
 
 
 def hessian_f(ctx: EnergyContext, u: Field, idx: np.ndarray) -> sp.spmatrix:
     """Hessian of the measure energy f at u, restricted to free nodes."""
     grid = ctx.grid
-    p = ctx.p
     rows = ctx._rows
     K = _energy_map(ctx)
     y = K @ u.flat
+    _, curv = _kernel(ctx, y, ctx.eps_reg, hess=True)
     nc = grid.n_cells
     grads = y[:rows.n_grad].reshape(grid.dim, nc)
-    t, w = _grad_weights(p, (grads * grads).sum(axis=0), ctx.eps_reg,
-                         rows.keep)
-    entries = [_measure_diagonal(ctx, y, rows.f)]
+    entries = [_measure_diagonal(ctx, curv.hmeas, rows.f)]
     cells = np.arange(nc)
-    w_outer = (p - 2.0) * np.divide(w, t, out=np.zeros_like(w), where=t > 0)
     for a in range(grid.dim):
         for b in range(grid.dim):
-            block = rows.vol * w_outer * grads[a] * grads[b]
+            block = curv.hout * grads[a] * grads[b]
             if a == b:
-                block += rows.vol * w
-            elif p == 2.0:
+                block += curv.hcell
+            elif ctx.p == 2.0:
                 continue
             entries.append((a * nc + cells, b * nc + cells, block))
     return _sandwich(K, idx, entries)
@@ -78,5 +60,6 @@ def hessian_g_diff(ctx: EnergyContext, u: Field,
     """Hessian of g1 - g2 at u, restricted to free nodes."""
     K = _energy_map(ctx)
     rows = ctx._rows
-    return _sandwich(K, idx, [_measure_diagonal(ctx, K @ u.flat,
+    hmeas = abs_pow((K @ u.flat)[rows.n_grad:], ctx.p - 2.0)
+    return _sandwich(K, idx, [_measure_diagonal(ctx, hmeas,
                                                 rows.g1 - rows.g2)])

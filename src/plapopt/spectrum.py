@@ -5,10 +5,12 @@ sphere stays inside the feasible cone g1 - g2 > 0, of the supremum of the
 Rayleigh ratio on that sphere.  Such a sphere has index exactly m, so each
 value is an upper bound for the m-th inf-sup eigenvalue; for p = 2 the
 reduction is exact and computed from the matrix pencil.  For general p the
-inner supremum runs multistart projected ascent and the outer infimum
-descends on the basis vectors; reported eigenpairs are polished by a
-damped Newton iteration on the eigen-equation and certified through their
-residual.
+inner supremum runs a multistart Riemannian trust-region ascent on the
+unit coefficient sphere, all starts as one stack through the energy kernel
+with exact m x m Hessians; the outer infimum descends on the basis
+vectors, each iteration starting from twice the last accepted step.
+Reported eigenpairs are polished by a damped Newton iteration on the
+eigen-equation and certified through their residual.
 
 All randomness derives from a caller seed, so repeated runs coincide.
 """
@@ -119,7 +121,15 @@ class SpectralResult:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs of the general-p machinery (p = 2 ignores most of them)."""
+    """Knobs of the general-p machinery (p = 2 ignores most of them).
+
+    n_starts sets the cold starts of the inner supremum: e_1, ..., e_m
+    and n_starts - 2m random unit vectors.  max_ascent_iter caps the
+    trust-region trials of each start, accepted or not, so it bounds the
+    kernel rounds of one inner search.  max_outer_iter caps the outer
+    basis-descent iterations of a level; each makes up to 6 warm inner
+    searches, from twice the last accepted step down by factors of 4.
+    """
 
     n_starts: int = 32
     max_ascent_iter: int = 120
@@ -192,10 +202,14 @@ def _sphere_project(xi: np.ndarray) -> np.ndarray:
 
 
 def _starts(m: int, n_starts: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows e_1, -e_1, ..., e_m, -e_m, then random unit vectors."""
-    signed = np.stack([np.eye(m), -np.eye(m)], axis=1).reshape(2 * m, m)
+    """Rows e_1, ..., e_m, then n_starts - 2m random unit vectors.
+
+    The search from -e_j would mirror the one from e_j bit for bit (f, g1
+    and g2 are even), so the mirrors are left out; the random rows are
+    the ones drawn when they were counted.
+    """
     extra = rng.standard_normal((max(n_starts - 2 * m, 0), m))
-    return np.concatenate([signed, _sphere_project(extra)])
+    return np.concatenate([np.eye(m), _sphere_project(extra)])
 
 
 def _push(M, x):
@@ -235,9 +249,30 @@ class _SubspaceEval:
     def parts(self, x):
         return _kernel(self.ctx, _push(self.KM, x), self.ctx.eps_reg)
 
-    def denom_grad(self, x):
-        parts = self.parts(x)
-        return parts.g1 - parts.g2, _pull(parts.dg1 - parts.dg2, self.KM_meas)
+    def _second_order(self, X):
+        """Kernel parts at the rows of X with the coefficient Hessians
+        (KM)^T W (KM) of f and of g1 - g2, shape (S, m, m) each, built
+        from the Hessian weights of the same kernel pass."""
+        rows, dim, KM = self.ctx._rows, self.ctx.grid.dim, self.KM
+        y = _push(KM, X)
+        parts, curv = _kernel(self.ctx, y, self.ctx.eps_reg, hess=True)
+        hm = (self.ctx.p - 1.0) * curv.hmeas
+        diag = np.concatenate([np.tile(curv.hcell, dim), rows.f * hm], -1)
+        Hf = np.matmul(KM.T * diag[:, None, :], KM)
+        # the g g^T part of the cell blocks: Z = sum over axes a of g_a K_a M
+        grads = y[:, :rows.n_grad].reshape(len(X), dim, -1, 1)
+        Z = (grads * KM[:rows.n_grad].reshape(dim, -1, self.m)).sum(axis=1)
+        Hf += np.matmul(Z.transpose(0, 2, 1) * curv.hout[:, None, :], Z)
+        Hd = np.matmul(self.KM_meas.T * ((rows.g1 - rows.g2) * hm)[:, None, :],
+                       self.KM_meas)
+        return parts, Hf, Hd
+
+    def denom_stack(self, X):
+        """Values (S,), gradients (S, m) and Hessians (S, m, m) of g1 - g2
+        at the rows of X."""
+        parts, _, Hd = self._second_order(X)
+        return (parts.g1 - parts.g2,
+                _pull(parts.dg1 - parts.dg2, self.KM_meas), Hd)
 
     def _ratio_gradient(self, parts, val, denom):
         return (_pull(parts.df, self.KM)
@@ -255,61 +290,138 @@ class _SubspaceEval:
         return val, self._ratio_gradient(parts, val, denom)
 
     def ratio_stack(self, X):
-        """Values (S,) and gradients (S, m) of the ratio at the rows of X;
-        off the cone the value is inf and the gradient meaningless."""
-        parts = self.parts(X)
+        """Values (S,), gradients (S, m) and Hessians (S, m, m) of the
+        ratio at the rows of X; off the cone the value is inf and the
+        derivatives meaningless."""
+        parts, Hf, Hd = self._second_order(X)
         denom = parts.g1 - parts.g2
         on = denom > self.ctx.feasibility_tol(parts.g1)
         denom = np.where(on, denom, 1.0)
         val = parts.f / denom
-        return (np.where(on, val, np.inf),
-                self._ratio_gradient(parts, val[:, None], denom[:, None]))
+        grad = self._ratio_gradient(parts, val[:, None], denom[:, None])
+        # (f/D)'' = (f'' - R D'' - D' R'^T - R' D'^T) / D
+        cross = (_pull(parts.dg1 - parts.dg2, self.KM_meas)[:, :, None]
+                 * grad[:, None, :])
+        H = (Hf - val[:, None, None] * Hd - cross - cross.transpose(0, 2, 1))
+        return np.where(on, val, np.inf), grad, H / denom[:, None, None]
+
+    def neg_ratio_stack(self, X):
+        """Minus the ratio, +inf off the cone, with its gradients and
+        Hessians: the function whose descent is the inner ascent."""
+        val, grad, hess = self.ratio_stack(X)
+        return np.where(np.isfinite(val), -val, np.inf), -grad, -hess
+
+
+def _trust_step(X, G, H, tang, radius):
+    """Exact trust-region steps on the unit sphere, one per row.
+
+    The model of a row x is g.s + s.B s / 2 on the tangent space, with g
+    the tangential gradient and B = P H P - (x.G) P the Riemannian
+    Hessian of the projective retraction (P = I - x x^T).  Its exact
+    minimizer on |s| <= radius comes from eigh of B + alpha x x^T, which
+    keeps the normal direction out of the way (alpha exceeds |B|): the
+    Newton step when B is positive definite and the step fits, else the
+    boundary step (B + sigma I) s = -g with sigma found by Newton on the
+    secular equation 1/|s(sigma)| = 1/radius, plus a negative-curvature
+    part in the hard case.  Returns the steps and the model decreases.
+    """
+    xx = X[:, :, None] * X[:, None, :]
+    P = np.eye(X.shape[1]) - xx
+    B = P @ H @ P - np.vecdot(G, X)[:, None, None] * P
+    alpha = 1.0 + np.sqrt((B * B).sum(axis=(1, 2)))
+    lam, V = np.linalg.eigh(B + alpha[:, None, None] * xx)
+    gam = np.matmul(tang[:, None, :], V)[:, 0, :]     # g in the eigenbasis
+    low = lam[:, 0]
+    sigma = np.maximum(-low, 0.0) + 1e-12 * alpha
+    c = -gam / (lam + sigma[:, None])
+    norm = np.sqrt(np.vecdot(c, c))
+    newton = (low > 0.0) & (norm <= radius)
+    # hard case: the shifted step falls short of the radius
+    hard = ~newton & (norm < radius)
+    # boundary rows: Newton on 1/|s| from the left of the root
+    todo = ~newton & ~hard
+    for _ in range(30):
+        if not todo.any():
+            break
+        d = lam[todo] + sigma[todo, None]
+        ct = c[todo]
+        sigma[todo] += ((norm[todo] / radius[todo] - 1.0) * norm[todo] ** 2
+                        / np.vecdot(ct, ct / d))
+        c[todo] = -gam[todo] / (lam[todo] + sigma[todo, None])
+        norm[todo] = np.sqrt(np.vecdot(c[todo], c[todo]))
+        todo &= norm > 1.05 * radius
+    # in the hard case, fill the radius along the lowest-curvature
+    # direction, downhill by the sign of its slope
+    if hard.any():
+        c[hard, 0] = 0.0
+        rest = np.sqrt(np.maximum(
+            radius[hard] ** 2 - np.vecdot(c[hard], c[hard]), 0.0))
+        c[hard, 0] = np.copysign(rest, -gam[hard, 0])
+    decrease = -(np.vecdot(gam, c) + 0.5 * np.vecdot(lam * c, c))
+    return np.matmul(V, c[:, :, None])[:, :, 0], decrease
 
 
 def _sphere_descent(fun, X: np.ndarray, max_iter: int, tol: float,
                     floor: float = -math.inf):
-    """Projected descent on the unit sphere from every row of X at once.
+    """Riemannian trust-region descent on the unit sphere from every row
+    of X at once.
 
-    fun maps a stack (S, m) to values (S,), +inf off its domain, and
-    gradients.  Each row steps along its normalized tangential gradient,
-    the step growing by 1.7 after a decrease and halving otherwise; it
-    stops after max_iter iterations, at tangential gradient <= tol *
-    max(1, |value|) or at step <= 1e-14.  All stop once a value is below
-    floor.  A round evaluates fun once on the moving rows with the
-    arithmetic of a single start.  Returns the final values and points.
+    fun maps a stack (S, m) to values (S,), +inf off its domain,
+    gradients (S, m) and Hessians (S, m, m).  Each row takes the exact
+    trust-region step of _trust_step from radius 0.5 on and keeps it when
+    the decrease is at least a tenth of the model's (up to rounding of
+    the value); the radius quarters when the model fits badly and
+    doubles, up to 1, when it fits well at the boundary.  After a
+    rejected step, or where the model is not finite, a row takes the
+    first-order step instead: the normalized tangential gradient scaled
+    to the radius.  A row stops after max_iter trials, at tangential
+    gradient <= tol * max(1, |value|) or at radius <= 1e-14; all stop
+    once a value is below floor.  A round evaluates fun once on the
+    moving rows with the arithmetic of a single start.  Returns the final
+    values and points.
     """
     X = _sphere_project(X)
-    val, G = fun(X)
-    step = np.full(len(val), 0.5)
+    val, G, H = fun(X)
+    radius = np.full(len(val), 0.5)
     iters = np.zeros(len(val), dtype=int)
     moving = np.isfinite(val)
-    fresh = moving.copy()              # rows that begin an iteration
+    rejected = np.zeros(len(val), dtype=bool)
     while not (val < floor).any():
-        # a row that kept its point recomputes the same direction
         tang = G - np.vecdot(G, X)[:, None] * X
         tn = np.sqrt(np.vecdot(tang, tang))
-        moving &= ~fresh | ((iters < max_iter)
-                            & (tn > tol * np.maximum(1.0, np.abs(val))))
-        iters += fresh
+        moving &= ((iters < max_iter) & (radius > 1e-14)
+                   & (tn > tol * np.maximum(1.0, np.abs(val))))
         a = moving.nonzero()[0]
         if a.size == 0:
             break
-        X_new = _sphere_project(
-            X[a] - step[a, None] * tang[a] / tn[a, None])
-        val_new, G_new = fun(X_new)
-        down = val_new < val[a]
-        acc = a[down]
-        X[acc], val[acc], G[acc] = X_new[down], val_new[down], G_new[down]
-        step[a] *= np.where(down, 1.7, 0.5)
-        moving[a] = step[a] > 1e-14
-        fresh[:] = False
-        fresh[acc] = True
+        iters[a] += 1
+        Ha = H[a]
+        model = np.isfinite(Ha).all(axis=(1, 2))
+        Ha[~model] = 0.0
+        step, decrease = _trust_step(X[a], G[a], Ha, tang[a], radius[a])
+        first = rejected[a] | ~model | ~(decrease > 0.0)
+        step[first] = -(radius[a, None] * tang[a] / tn[a, None])[first]
+        decrease[first] = (radius[a] * tn[a])[first]
+        X_new = _sphere_project(X[a] + step)
+        val_new, G_new, H_new = fun(X_new)
+        slack = 1e3 * np.finfo(float).eps * np.maximum(1.0, np.abs(val[a]))
+        rho = (val[a] - val_new + slack) / (decrease + slack)
+        length = np.sqrt(np.vecdot(step, step))
+        good = np.isfinite(val_new) & (rho > 0.75) & (length > 0.99 * radius[a])
+        radius[a] = np.where(rho < 0.25, 0.25 * length,
+                             np.where(good, np.minimum(2.0 * radius[a], 1.0),
+                                      radius[a]))
+        keep = np.isfinite(val_new) & (rho > 0.1)
+        rejected[a] = ~keep
+        acc = a[keep]
+        X[acc], val[acc] = X_new[keep], val_new[keep]
+        G[acc], H[acc] = G_new[keep], H_new[keep]
     return val, X
 
 
 def _sphere_min_denominator(ev: _SubspaceEval, starts) -> float:
     """Approximate min of g1 - g2 over the unit coefficient sphere."""
-    val, _ = _sphere_descent(ev.denom_grad, starts, 80, 1e-14, floor=0.0)
+    val, _ = _sphere_descent(ev.denom_stack, starts, 80, 1e-14, floor=0.0)
     return float(val.min())
 
 
@@ -332,11 +444,8 @@ def _sphere_g1_floor(ev: _SubspaceEval) -> float:
 
 
 def _sup_general(ev: _SubspaceEval, starts, opts: SolverOptions):
-    def neg_ratio(X):
-        val, grad = ev.ratio_stack(X)
-        return np.where(np.isfinite(val), -val, np.inf), -grad
-
-    val, X = _sphere_descent(neg_ratio, starts, opts.max_ascent_iter, 1e-11)
+    val, X = _sphere_descent(ev.neg_ratio_stack, starts,
+                             opts.max_ascent_iter, 1e-11)
     best = int(np.argmin(val))
     if not math.isfinite(val[best]):
         raise InfeasibleSubspace("no feasible start on the sphere")
@@ -354,11 +463,12 @@ def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
     the sphere is not strictly inside the cone g1 - g2 > 0; for p = 2 the
     value is the largest eigenvalue of the restricted m x m pencil.
 
-    For general p and m >= 2, projected ascent runs from all starts (+-e_j
-    and random unit vectors) as one stack through the energy kernel, each
-    with its own step and stop.  Feasibility needs min(g1 - g2) above
-    1e-10 of the g-scale: with nu2 = 0 a singular-value bound of g1 may
-    prove it, else the same stacked search descends g1 - g2.
+    For general p and m >= 2, a trust-region ascent runs from all starts
+    (e_j and random unit vectors; a warm call uses the given point and the
+    e_j) as one stack through the energy kernel, each with its own radius
+    and stop.  Feasibility needs min(g1 - g2) above 1e-10 of the g-scale:
+    with nu2 = 0 a singular-value bound of g1 may prove it, else the same
+    stacked search descends g1 - g2.
     """
     opts = options or SolverOptions()
     m = candidate.m
@@ -388,13 +498,13 @@ def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
     starts = _starts(m, opts.n_starts, rng)
     threshold = 1e-10 * _sphere_denominator_scale(ev)
     if _sphere_g1_floor(ev) <= threshold:
-        feas_starts = starts if _warm_xi is None else starts[:2 * m + 4]
+        feas_starts = starts if _warm_xi is None else starts[:m + 4]
         min_denom = _sphere_min_denominator(ev, feas_starts)
         if min_denom <= threshold:
             raise InfeasibleSubspace(
                 f"sphere reaches g1 - g2 = {min_denom:.3e}")
     if _warm_xi is not None:
-        starts = np.vstack([_warm_xi, starts[:max(2 * m, 4)]])
+        starts = np.vstack([_warm_xi, starts[:m]])
     return _sup_general(ev, starts, opts)
 
 
@@ -740,6 +850,7 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
         return None
 
     val, cand, xi = best
+    accepted_step = None
     for _ in range(opts.max_outer_iter):
         parts = _field_parts(ctx, cand.combine(xi))
         gradR = _node_gradient(ctx, parts.df - val * _on_all_rows(
@@ -748,7 +859,9 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
         scale = np.linalg.norm(gradR)
         if scale <= 1e-14:
             break
-        step = 1.0 / scale
+        # the first trial doubles the last accepted step, so it is usually
+        # the one kept
+        step = 1.0 / scale if accepted_step is None else 2.0 * accepted_step
         improved = False
         for _ in range(6):
             new_mat = mat - step * np.outer(xi, gradR)
@@ -762,6 +875,7 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
                     val_new = math.inf
                 if val_new < val * (1.0 - 1e-12):
                     val, cand, xi = val_new, cand_new, xi_new
+                    accepted_step = step
                     improved = True
                     break
             step *= 0.25

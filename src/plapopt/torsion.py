@@ -26,6 +26,7 @@ from plapopt.energy import (
     _energy_map,
     _kernel,
     _odd,
+    abs_pow,
     dual_norm,
 )
 from plapopt import operators
@@ -215,7 +216,7 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
 
     def fidelity_hessian(x):
         diff = anchor @ x - z_anchor
-        dfid = k * (p - 1.0) * vol * bflat * hessians.abs_pow(diff, p - 2.0)
+        dfid = k * (p - 1.0) * vol * bflat * abs_pow(diff, p - 2.0)
         return anchor.T @ sp.diags(dfid) @ anchor
 
     x, info = _bb_then_newton(

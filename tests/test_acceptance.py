@@ -221,6 +221,27 @@ def test_c06_monotonicity_suite():
            f"(1e-4), {time.monotonic() - t0:.1f}s")
 
 
+def test_general_p_levels_stay_below_their_subspace_bounds():
+    # criterion 06's p = 3 inputs and the 2D unit square at p = 3: a
+    # level's eigenvalue never exceeds the sup over its best subspace
+    g3 = GridSpec(1, 16, (1.0,), 3.0)
+    w3 = lebesgue_weights(g3)
+    rng3 = np.random.default_rng(77)
+    runs = []
+    for trial in range(20):
+        pair = _random_measure_pair(g3, rng3, with_blocked=False,
+                                    with_atoms=trial % 5 == 2)
+        runs += [eigen_minimax(EnergyContext(g3, mu, w3), 3, seed=trial,
+                               options=FAST) for mu in pair]
+    sq = GridSpec(2, 16, (1.0, 1.0), 3.0)
+    runs.append(eigen_minimax(
+        EnergyContext(sq, zero_measure(sq), lebesgue_weights(sq)), 3, seed=1))
+    for r in runs:
+        for lam, bound in zip(r.lambdas, r.subspace_bounds):
+            if math.isfinite(lam):
+                assert lam <= bound + 1e-9 * max(abs(lam), 1.0)
+
+
 def _half_wall_sequence(n=128):
     g = GridSpec(1, n, (1.0,), 2.0)
     mask = np.zeros(n, dtype=bool)

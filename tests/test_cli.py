@@ -133,6 +133,34 @@ def test_gamma_diag_run(tmp_path):
     assert report["checks"]["psi_lsc"]["passed"]
 
 
+def test_gamma_diag_solves_each_member_once(tmp_path, monkeypatch):
+    import plapopt.gamma as gamma_mod
+
+    counts = {"torsion": 0, "eigen_minimax": 0}
+
+    def counted(name):
+        solve = getattr(gamma_mod, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(gamma_mod, name, wrapper)
+
+    counted("torsion")
+    counted("eigen_minimax")
+    out = tmp_path / "out"
+    config = Path(__file__).resolve().parent.parent / "configs" \
+        / "gamma_half_wall.json"
+    assert main(["gamma-diag", "--config", str(config), "--out", str(out),
+                 "--quiet"]) == 0
+    # three tail members and the limit, for both checks together
+    assert counts == {"torsion": 4, "eigen_minimax": 4}
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    for key in ("limit_value", "tail_values", "distances", "statuses"):
+        assert checks["usc"][key] == checks["lsc"][key]
+
+
 def test_gamma_diag_unconverged_torsion_exits_3(tmp_path, monkeypatch):
     import plapopt.gamma as gamma_mod
 

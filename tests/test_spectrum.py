@@ -337,33 +337,16 @@ def test_sup_on_sphere_matches_a_theta_scan_of_rayleigh(p):
     assert math.isclose(val, best, rel_tol=1e-7)
 
 
-def _reference_sup(ev, starts, max_iter):
-    """The per-start ascent loop that the block search runs row by row."""
+def _reference_sup(ev, starts, opts):
+    """The stacked search run on one start at a time; the first best wins."""
+    from plapopt.spectrum import _sup_general
+
     best_val, best_xi = -math.inf, None
-    for xi in starts:
-        xi = xi / np.linalg.norm(xi)
-        val, grad = ev.ratio_grad(xi)
-        if not math.isfinite(val):
+    for row in starts:
+        try:
+            val, xi = _sup_general(ev, row[None, :].copy(), opts)
+        except InfeasibleSubspace:
             continue
-        step = 0.5
-        for _ in range(max_iter):
-            tang = grad - np.dot(grad, xi) * xi
-            tn = np.linalg.norm(tang)
-            if tn <= 1e-11 * max(1.0, abs(val)):
-                break
-            moved = False
-            while step > 1e-14:
-                xi_new = xi + step * tang / tn
-                xi_new = xi_new / np.linalg.norm(xi_new)
-                val_new, grad_new = ev.ratio_grad(xi_new)
-                if math.isfinite(val_new) and val_new > val:
-                    xi, val, grad = xi_new, val_new, grad_new
-                    moved = True
-                    step *= 1.7
-                    break
-                step *= 0.5
-            if not moved:
-                break
         if val > best_val:
             best_val, best_xi = val, xi
     return best_val, best_xi
@@ -377,9 +360,84 @@ def test_block_ascent_repeats_the_per_start_loop(p):
     ev = _SubspaceEval.of_candidate(ctx, _sine_candidate(ctx.grid, 3))
     starts = _starts(3, 16, np.random.default_rng(5))
     val, xi = _sup_general(ev, starts, FAST)
-    ref_val, ref_xi = _reference_sup(ev, starts, FAST.max_ascent_iter)
+    ref_val, ref_xi = _reference_sup(ev, starts, FAST)
     assert val == ref_val
     np.testing.assert_array_equal(xi, ref_xi)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_descent_from_mirrored_starts_is_mirrored(p):
+    # f, g1 and g2 are even, so -X runs the bit-mirrored path of X
+    from plapopt.spectrum import _SubspaceEval, _sphere_descent, _starts
+
+    ctx = _weighted_ctx(p, np.random.default_rng(24))
+    ev = _SubspaceEval.of_candidate(ctx, _sine_candidate(ctx.grid, 3))
+    X = _starts(3, 12, np.random.default_rng(6))
+    for fun, tol in ((ev.neg_ratio_stack, 1e-11), (ev.denom_stack, 1e-14)):
+        val, X_out = _sphere_descent(fun, X.copy(), 60, tol)
+        val_m, X_m = _sphere_descent(fun, -X, 60, tol)
+        np.testing.assert_array_equal(val_m, val)
+        np.testing.assert_array_equal(X_m, -X_out)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_sup_on_sphere_without_the_mirrored_starts(p, monkeypatch):
+    import plapopt.spectrum as spectrum
+
+    def with_mirrors(m, n_starts, rng):
+        """The earlier layout: e_1, -e_1, ..., e_m, -e_m, then the same
+        random rows."""
+        signed = np.stack([np.eye(m), -np.eye(m)], axis=1).reshape(2 * m, m)
+        extra = rng.standard_normal((max(n_starts - 2 * m, 0), m))
+        return np.concatenate([signed, spectrum._sphere_project(extra)])
+
+    ctx = _weighted_ctx(p, np.random.default_rng(25))
+    for m in (2, 3):
+        cand = _sine_candidate(ctx.grid, m)
+        val, xi = sup_on_sphere(ctx, cand, seed=3, options=FAST)
+        with monkeypatch.context() as mp:
+            mp.setattr(spectrum, "_starts", with_mirrors)
+            val_m, xi_m = sup_on_sphere(ctx, cand, seed=3, options=FAST)
+        assert val == val_m
+        np.testing.assert_array_equal(xi, xi_m)
+
+
+def _hessian_ctx(dim, n, p, rng):
+    """A density, an atom where p > dim, w1 = 1 and w2 = 0.3 U(0, 1)."""
+    g = GridSpec(dim, n, (1.0,) * dim, p)
+    atoms = ((g.n_nodes // 2 + 1, 0.7),) if p > dim else ()
+    mu = CapacitaryMeasure(g, 2.0 * rng.random(g.cells_shape),
+                           np.zeros(g.cells_shape, bool), atoms)
+    return EnergyContext(g, mu, WeightPair(g, 1.0, (),
+                                           0.3 * rng.random(g.cells_shape)))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+def test_coefficient_hessians_match_gradient_differences(dim, n, p):
+    from plapopt.operators import free_node_mask
+    from plapopt.spectrum import _SubspaceEval
+
+    rng = np.random.default_rng(26)
+    ctx = _hessian_ctx(dim, n, p, rng)
+    free = free_node_mask(ctx.grid, ctx.mu).reshape(-1)
+    # positive fields and coefficients keep the measure rows off zero,
+    # where |y|^(p-2) would make the differences inaccurate for p < 2
+    ev = _SubspaceEval.of_candidate(ctx, SubspaceCandidate(tuple(
+        embed(ctx, free, 0.5 + rng.random(free.sum())) for _ in range(3))))
+    X = 0.5 + rng.random((4, 3))
+    V = rng.standard_normal((4, 3))
+    step = 1e-5
+
+    def check(derivs):
+        hess = derivs(X)[2]
+        fd = (derivs(X + step * V)[1] - derivs(X - step * V)[1]) / (2 * step)
+        an = np.matmul(hess, V[:, :, None])[:, :, 0]
+        for a, b in zip(an, fd):
+            assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(b)
+
+    check(ev.ratio_stack)
+    check(ev.denom_stack)
 
 
 def test_g1_floor_bounds_g1_on_the_sphere():
