@@ -145,19 +145,31 @@ class SolverOptions:
 
 def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
     """Positive pencil directions: lambda_m = 1 / beta_m with beta the
-    m-th largest positive eigenvalue of B u = beta A u on free nodes."""
+    m-th largest positive eigenvalue of B u = beta A u on free nodes.
+    Returns (lambdas, fields, complete); complete is False when the Lanczos
+    iteration left requested pairs unconverged (the converged ones are
+    kept), so missing levels are unknown rather than absent."""
     grid = ctx.grid
     A, B, idx = operators.p2_matrices(grid, ctx.mu, ctx.weights)
     n = idx.size
-    if n == 0:
-        return [], [], idx
-    dense = n <= DENSE_DOF_LIMIT
-    if not dense and _is_diag_pd(B):
-        lams, vecs = _sparse_smallest(A, B, m_max)
-        return lams, [_embed(grid, idx, v) for v in vecs.T], idx
-    Ad = A.toarray()
-    Bd = B.toarray()
-    beta, U = sla.eigh(Bd, Ad)       # beta ascending, U^T A U = I
+    # B is diagonal (anchor quadrature), so without a positive entry it is
+    # negative semidefinite and the pencil has no positive direction
+    if n == 0 or not np.any(B.data > 0):
+        return [], [], True
+    complete = True
+    if n <= DENSE_DOF_LIMIT:
+        # LAPACK, not ARPACK, below the limit: the two return different
+        # bases of a degenerate cluster (lambda2 = lambda3 on the square),
+        # and the general-p levels seeded from that basis move with it
+        beta, U = sla.eigh(B.toarray(), A.toarray())    # U^T A U = I
+    else:
+        # A is SPD (Dirichlet), so the mode M = A holds for every sign of
+        # B; the fixed v0 keeps reruns bit-identical
+        try:
+            beta, U = spla.eigsh(B, k=min(m_max, n - 1), M=A, which="LA",
+                                 v0=np.full(n, 1.0 / math.sqrt(n)), tol=0)
+        except spla.ArpackNoConvergence as err:
+            beta, U, complete = err.eigenvalues, err.eigenvectors, False
     order = np.argsort(-beta)
     lams, vecs = [], []
     for j in order[:max(m_max, 0)]:
@@ -165,23 +177,7 @@ def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
             break
         lams.append(1.0 / beta[j])
         vecs.append(_embed(grid, idx, U[:, j]))
-    return lams, vecs, idx
-
-
-def _is_diag_pd(B) -> bool:
-    off = B - sp.diags(B.diagonal())
-    return off.nnz == 0 and np.all(B.diagonal() > 0)
-
-
-def _sparse_smallest(A, B, k: int):
-    n = A.shape[0]
-    k = min(k, n - 2)
-    # fixed start vector keeps repeated runs bit-identical
-    v0 = np.full(n, 1.0 / math.sqrt(n))
-    vals, vecs = spla.eigsh(A.tocsc(), k=k, M=B.tocsc(), sigma=0,
-                            which="LM", v0=v0)
-    order = np.argsort(vals)
-    return list(vals[order]), vecs[:, order]
+    return lams, vecs, complete
 
 
 def _normalize(ctx: EnergyContext, u: Field) -> Field:
@@ -657,9 +653,10 @@ def eigen_first(ctx: EnergyContext, *, seed: int = 0,
     p = ctx.p
 
     if p == 2.0:
-        lams, vecs, _ = _pencil_positive_eigs(ctx, 1)
+        lams, vecs, complete = _pencil_positive_eigs(ctx, 1)
         if not lams:
-            raise InfeasibleSubspace("no positive pencil direction")
+            raise (InfeasibleSubspace("no positive pencil direction")
+                   if complete else RuntimeError("pencil not converged"))
         u = _normalize(ctx, vecs[0])
         lam = rayleigh(ctx, u)
         return lam, u, residual(ctx, u, lam)
@@ -707,10 +704,11 @@ def eigen_minimax(ctx: EnergyContext, m_max: int, *, seed: int = 0,
     """Nondecreasing eigenvalues for m = 1..m_max with certification.
 
     p = 2 values come straight from the pencil and are exact at linear
-    algebra accuracy.  For general p each level reports the best subspace
-    upper bound found, with the eigenfield polished out of the inner
-    argmax; levels are flagged infeasible when no subspace sphere fits in
-    the feasible cone and unresolved when certification fails.
+    algebra accuracy; levels the pencil's Lanczos iteration left
+    unconverged are unresolved.  For general p each level reports the best
+    subspace upper bound found, with the eigenfield polished out of the
+    inner argmax; levels are flagged infeasible when no subspace sphere
+    fits in the feasible cone and unresolved when certification fails.
     """
     if not 1 <= m_max <= M_MAX_LIMIT:
         raise ValueError(f"m_max must be in 1..{M_MAX_LIMIT}")
@@ -722,7 +720,7 @@ def eigen_minimax(ctx: EnergyContext, m_max: int, *, seed: int = 0,
 
 def _eigen_minimax_p2(ctx: EnergyContext, m_max: int,
                       opts: SolverOptions) -> SpectralResult:
-    lams, vecs, _ = _pencil_positive_eigs(ctx, m_max)
+    lams, vecs, complete = _pencil_positive_eigs(ctx, m_max)
     out = SpectralResult([], [], [], [], [])
     for m in range(1, m_max + 1):
         if m <= len(lams):
@@ -739,7 +737,7 @@ def _eigen_minimax_p2(ctx: EnergyContext, m_max: int,
             out.lambdas.append(math.inf)
             out.eigenfields.append(None)
             out.residuals.append(None)
-            out.statuses.append(INFEASIBLE)
+            out.statuses.append(INFEASIBLE if complete else UNRESOLVED)
             out.subspace_bounds.append(math.inf)
     return out
 

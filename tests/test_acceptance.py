@@ -427,7 +427,7 @@ def _determinism_configs():
             "constraint": {"kind": "psi_budget", "c": 0.5,
                            "psi": {"kind": "exp", "beta": 1.0}},
         },
-        # n = 44 forces the sparse shift-invert eigensolver path
+        # n = 44 forces the sparse Lanczos pencil path
         "optimize-set": {
             "grid": {"dim": 2, "n": 44, "lengths": [1.0, 1.0], "p": 2.0},
             "seed": 1,

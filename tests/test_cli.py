@@ -463,6 +463,39 @@ def test_non_convergence_exits_3_with_artifacts(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_sign_changing_config_solves_on_the_sparse_pencil(tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", "--config",
+                 str(CONFIGS / "solve_sign_changing_2d.json"),
+                 "--out", str(out), "--quiet"]) == 0
+    results = json.loads((out / "results.json").read_text())
+    assert results["statuses"] == ["finite"] * 4
+
+
+def test_unconverged_pencil_exits_3_with_the_converged_pairs(
+        tmp_path, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    real_eigsh = spla.eigsh
+
+    def one_pair(*args, **kwargs):
+        vals, vecs = real_eigsh(*args, **{**kwargs, "k": 1})
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                       vals, vecs)
+
+    monkeypatch.setattr(spla, "eigsh", one_pair)
+    out = tmp_path / "out"
+    assert main(["solve", "--config",
+                 str(CONFIGS / "solve_sign_changing_2d.json"),
+                 "--out", str(out), "--quiet"]) == 3
+    results = json.loads((out / "results.json").read_text())
+    assert results["statuses"] == ["finite"] + ["unresolved"] * 3
+    assert results["lambdas"][1:] == ["inf"] * 3
+    assert (out / "field_m1.csv").exists()
+    assert not (out / "field_m2.csv").exists()
+    assert (out / "manifest.json").exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg_payload = {
         "grid": {"dim": 2, "n": 12, "lengths": [1.0, 1.0], "p": 2.0},

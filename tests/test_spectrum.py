@@ -236,15 +236,85 @@ def test_eigen_minimax_anisotropic_box():
         assert math.isclose(lam, t, rel_tol=1e-2)
 
 
+def _pencil_cases(n):
+    """2D weight pairs on the unit square: Lebesgue, sign-changing w2,
+    partial w1 with blocked cells, and a pair invariant under x <-> y and
+    both mirror lines, whose symmetry makes lambda2 = lambda3 exact."""
+    g = GridSpec(2, n, (1.0, 1.0), 2.0)
+    x, y = g.cell_centers()[..., 0], g.cell_centers()[..., 1]
+    blocked = np.zeros(g.cells_shape, dtype=bool)
+    blocked[10:13, 6:9] = True
+    # cell (i + 1, j + 1) weighs node (i, j), so the symmetric pattern is
+    # laid out on the interior nodes
+    node = np.arange(n - 1) - (n - 2) / 2.0
+    ring = np.hypot(*np.meshgrid(node, node, indexing="ij")) < n / 4.0
+    w2_sym = np.zeros(g.cells_shape)
+    w2_sym[1:, 1:] = 2.5 * ring
+    return {
+        "lebesgue": EnergyContext(g, zero_measure(g), lebesgue_weights(g)),
+        "sign-changing": EnergyContext(
+            g, zero_measure(g),
+            WeightPair(g, 1.0, (), np.where(x > 0.7, 2.5, 0.0))),
+        "partial-w1-blocked": EnergyContext(
+            g, CapacitaryMeasure(g, np.zeros(g.cells_shape), blocked),
+            WeightPair(g, np.where(y < 0.6, 1.0, 0.0))),
+        "symmetric": EnergyContext(g, zero_measure(g),
+                                   WeightPair(g, 1.0, (), w2_sym)),
+    }
+
+
 def test_dense_and_sparse_pencil_paths_agree(monkeypatch):
     import plapopt.spectrum as spectrum_mod
-    g = GridSpec(2, 24, (1.0, 1.0), 2.0)
-    ctx = EnergyContext(g, zero_measure(g), lebesgue_weights(g))
-    dense = eigen_minimax(ctx, 4, seed=0)
-    monkeypatch.setattr(spectrum_mod, "DENSE_DOF_LIMIT", 10)
-    sparse = eigen_minimax(ctx, 4, seed=0)
-    for a, b in zip(dense.lambdas, sparse.lambdas):
-        assert math.isclose(a, b, rel_tol=1e-9)
+    for name, ctx in _pencil_cases(24).items():
+        dense = eigen_minimax(ctx, 4, seed=0)
+        with monkeypatch.context() as mp:
+            mp.setattr(spectrum_mod, "DENSE_DOF_LIMIT", 10)
+            sparse = eigen_minimax(ctx, 4, seed=0)
+        assert dense.statuses == sparse.statuses == ["finite"] * 4, name
+        for a, b in zip(dense.lambdas, sparse.lambdas):
+            assert math.isclose(a, b, rel_tol=1e-9), name
+        if name in ("lebesgue", "symmetric"):
+            # a degenerate cluster keeps both copies on either path
+            assert math.isclose(dense.lambdas[1], dense.lambdas[2],
+                                rel_tol=1e-12)
+            assert math.isclose(sparse.lambdas[1], sparse.lambdas[2],
+                                rel_tol=1e-9)
+
+
+def test_pencil_without_positive_weight_is_infeasible_on_both_paths(
+        monkeypatch):
+    # B = 0 (w1 = w2) and B < 0 (w2 > w1) above the dense limit: the
+    # Lanczos path must report what dense eigh reports, not raise
+    import plapopt.spectrum as spectrum_mod
+    g = GridSpec(2, 40, (1.0, 1.0), 2.0)
+    assert (g.n - 1) ** 2 > spectrum_mod.DENSE_DOF_LIMIT
+    for w2 in (1.0, 2.0):
+        ctx = EnergyContext(g, zero_measure(g), WeightPair(g, 1.0, (), w2))
+        sparse = eigen_minimax(ctx, 3, seed=0)
+        with monkeypatch.context() as mp:
+            mp.setattr(spectrum_mod, "DENSE_DOF_LIMIT", 10 ** 6)
+            dense = eigen_minimax(ctx, 3, seed=0)
+        assert sparse.statuses == dense.statuses == ["infeasible"] * 3
+        assert sparse.lambdas == dense.lambdas == [math.inf] * 3
+
+
+def test_no_dense_eigensolve_above_the_limit(monkeypatch):
+    # 16,129 unknowns with an indefinite weight: a dense eigh here would
+    # need O(n^2) memory, so any call above the limit fails the test
+    import scipy.linalg
+    import plapopt.spectrum as spectrum_mod
+
+    real_eigh = scipy.linalg.eigh
+
+    def small_eigh(a, *args, **kwargs):
+        if np.shape(a)[0] > spectrum_mod.DENSE_DOF_LIMIT:
+            raise AssertionError(f"dense eigh of order {np.shape(a)[0]}")
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", small_eigh)
+    result = eigen_minimax(_pencil_cases(128)["sign-changing"], 4, seed=0)
+    assert result.statuses == ["finite"] * 4
+    assert all(math.isfinite(lam) for lam in result.lambdas)
 
 
 def test_sign_changing_pencil_is_subspace_optimal():
