@@ -42,7 +42,6 @@ from plapopt.energy import (
 from plapopt import operators
 from plapopt import hessians
 from plapopt.operators import _embed
-from plapopt.solvers import bb_minimize
 
 M_MAX_LIMIT = 6
 DENSE_DOF_LIMIT = 1400
@@ -135,7 +134,6 @@ class SolverOptions:
     max_ascent_iter: int = 120
     max_outer_iter: int = 25
     max_restarts: int = 3
-    descent_max_iter: int = 4000
     newton_max_iter: int = 60
     cert_tol: float = CERT_TOL
 
@@ -273,17 +271,6 @@ class _SubspaceEval:
     def _ratio_gradient(self, parts, val, denom):
         return (_pull(parts.df, self.KM)
                 - val * _pull(parts.dg1 - parts.dg2, self.KM_meas)) / denom
-
-    def ratio_grad(self, x):
-        """(value, gradient) of f/(g1-g2); (inf, None) off the cone."""
-        if self.violates:
-            return math.inf, None
-        parts = self.parts(x)
-        denom = parts.g1 - parts.g2
-        if denom <= self.ctx.feasibility_tol(parts.g1):
-            return math.inf, None
-        val = parts.f / denom
-        return val, self._ratio_gradient(parts, val, denom)
 
     def ratio_stack(self, X):
         """Values (S,), gradients (S, m) and Hessians (S, m, m) of the
@@ -486,7 +473,7 @@ def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
         return _sup_on_sphere_p2(ev)
 
     if m == 1:
-        val, _ = ev.ratio_grad(np.array([1.0]))
+        val = ev.ratio_stack(np.ones((1, 1)))[0][0]
         if not math.isfinite(val):
             raise InfeasibleSubspace("single ray outside the feasible cone")
         return val, np.array([1.0])
@@ -608,7 +595,7 @@ def polish_eigenpair(ctx: EnergyContext, u: Field, *,
 
 
 # ----------------------------------------------------------------------
-# first eigenvalue and the full minimax sweep
+# the minimax sweep; the first eigenvalue is its level 1
 
 def _probe_fields(ctx: EnergyContext, rng: np.random.Generator,
                   count: int = 12) -> list[Field]:
@@ -637,56 +624,6 @@ def _probe_fields(ctx: EnergyContext, rng: np.random.Generator,
 def _feasible(ctx: EnergyContext, u: Field) -> bool:
     parts = _field_parts(ctx, u)
     return parts.g1 - parts.g2 > ctx.feasibility_tol(parts.g1)
-
-
-def eigen_first(ctx: EnergyContext, *, seed: int = 0,
-                options: SolverOptions | None = None
-                ) -> tuple[float, Field, float]:
-    """Smallest eigenvalue by ratio descent plus Newton polishing.
-
-    Returns (lambda1, eigenfield, residual); the field is normalized to
-    g1 - g2 = 1.  Raises InfeasibleSubspace when no feasible field is
-    found (the case of an everywhere-degenerate right-hand side).
-    """
-    opts = options or SolverOptions()
-    rng = np.random.default_rng(seed)
-    p = ctx.p
-
-    if p == 2.0:
-        lams, vecs, complete = _pencil_positive_eigs(ctx, 1)
-        if not lams:
-            raise (InfeasibleSubspace("no positive pencil direction")
-                   if complete else RuntimeError("pencil not converged"))
-        u = _normalize(ctx, vecs[0])
-        lam = rayleigh(ctx, u)
-        return lam, u, residual(ctx, u, lam)
-
-    u0 = None
-    try:
-        lams, vecs, _ = _pencil_positive_eigs(_p2_context(ctx), 1)
-        if lams:
-            u0 = Field(ctx.grid, vecs[0].values)
-    except Exception:
-        u0 = None
-    if u0 is None or not _feasible(ctx, u0):
-        for probe in _probe_fields(ctx, rng):
-            if _feasible(ctx, probe):
-                u0 = probe
-                break
-    if u0 is None or not _feasible(ctx, u0):
-        raise InfeasibleSubspace("no feasible probe field")
-
-    # the ratio is 0-homogeneous: descend from a unit vector, where its
-    # gradient has the scale of the ratio itself
-    idx = np.flatnonzero(operators.free_node_mask(ctx.grid, ctx.mu))
-    ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
-    x0 = _sphere_project(u0.flat[idx])
-    x, _ = bb_minimize(x0, ev.ratio_grad, max_iter=opts.descent_max_iter,
-                       tol_decrement=1e-14, tol_grad=1e-9,
-                       grad_scale=max(abs(ev.ratio_grad(x0)[0]), 1.0))
-    lam, u, res = polish_eigenpair(ctx, _embed(ctx.grid, idx, x),
-                                   options=opts)
-    return lam, u, res
 
 
 def _p2_context(ctx: EnergyContext) -> EnergyContext:
@@ -718,27 +655,43 @@ def eigen_minimax(ctx: EnergyContext, m_max: int, *, seed: int = 0,
     return _eigen_minimax_general(ctx, m_max, seed, opts)
 
 
+def eigen_first(ctx: EnergyContext, *, seed: int = 0,
+                options: SolverOptions | None = None
+                ) -> tuple[float, Field, float]:
+    """Smallest eigenvalue: level 1 of eigen_minimax, same seed and options.
+
+    Returns (lambda1, eigenfield, residual); the field is normalized to
+    g1 - g2 = 1.  Raises InfeasibleSubspace when no feasible field is
+    found (the case of an everywhere-degenerate right-hand side), and
+    RuntimeError when the p = 2 pencil's Lanczos iteration left the
+    level unconverged.
+    """
+    result = eigen_minimax(ctx, 1, seed=seed, options=options)
+    if result.eigenfields[0] is None:
+        if result.statuses[0] == INFEASIBLE:
+            raise InfeasibleSubspace("no feasible field")
+        raise RuntimeError("pencil not converged")
+    return result.lambdas[0], result.eigenfields[0], result.residuals[0]
+
+
 def _eigen_minimax_p2(ctx: EnergyContext, m_max: int,
                       opts: SolverOptions) -> SpectralResult:
     lams, vecs, complete = _pencil_positive_eigs(ctx, m_max)
     out = SpectralResult([], [], [], [], [])
     for m in range(1, m_max + 1):
+        lam, u, res = math.inf, None, None
+        status = INFEASIBLE if complete else UNRESOLVED
         if m <= len(lams):
             u = _normalize(ctx, vecs[m - 1])
             lam = float(lams[m - 1])
             res = residual(ctx, u, lam)
             ok = res <= opts.cert_tol * abs(lam) * u.norm_p() ** (ctx.p - 1)
-            out.lambdas.append(lam)
-            out.eigenfields.append(u)
-            out.residuals.append(res)
-            out.statuses.append(FINITE if ok else UNRESOLVED)
-            out.subspace_bounds.append(lam)
-        else:
-            out.lambdas.append(math.inf)
-            out.eigenfields.append(None)
-            out.residuals.append(None)
-            out.statuses.append(INFEASIBLE if complete else UNRESOLVED)
-            out.subspace_bounds.append(math.inf)
+            status = FINITE if ok else UNRESOLVED
+        out.lambdas.append(lam)
+        out.eigenfields.append(u)
+        out.residuals.append(res)
+        out.statuses.append(status)
+        out.subspace_bounds.append(lam)
     return out
 
 
@@ -765,40 +718,29 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
                        if _feasible(ctx, f)][:m_max]
 
     out = SpectralResult([], [], [], [], [])
-    infeasible_from = None
     for m in range(1, m_max + 1):
-        if infeasible_from is not None:
-            out.lambdas.append(math.inf)
-            out.eigenfields.append(None)
-            out.residuals.append(None)
-            out.statuses.append(INFEASIBLE)
-            out.subspace_bounds.append(math.inf)
-            continue
-        level = _minimax_level(ctx, m, idx, init_fields, rng, opts, seed)
-        if level is None:
-            infeasible_from = m
-            out.lambdas.append(math.inf)
-            out.eigenfields.append(None)
-            out.residuals.append(None)
-            out.statuses.append(INFEASIBLE)
-            out.subspace_bounds.append(math.inf)
-            continue
-        bound, lam, u, res = level
-        prev = out.lambdas[m - 2] if m >= 2 else -math.inf
-        floor = prev - 1e-9 * max(abs(prev), 1.0)
-        status = FINITE
-        if res > opts.cert_tol * abs(lam) * u.norm_p() ** (ctx.p - 1):
-            status = UNRESOLVED
-        if lam < floor:
-            # the polished pair slid below the previous level; keep the
-            # ordering by reporting the subspace bound, uncertified
-            lam = max(bound, prev)
-            status = UNRESOLVED
-        out.lambdas.append(float(max(lam, prev)))
+        # every level above an infeasible one is infeasible too
+        level = None if INFEASIBLE in out.statuses else _minimax_level(
+            ctx, m, idx, init_fields, rng, opts, seed)
+        lam, u, res, status, bound = math.inf, None, None, INFEASIBLE, math.inf
+        if level is not None:
+            bound, lam, u, res = level
+            prev = out.lambdas[m - 2] if m >= 2 else -math.inf
+            floor = prev - 1e-9 * max(abs(prev), 1.0)
+            status = FINITE
+            if res > opts.cert_tol * abs(lam) * u.norm_p() ** (ctx.p - 1):
+                status = UNRESOLVED
+            if lam < floor:
+                # the polished pair slid below the previous level; keep the
+                # ordering by reporting the subspace bound, uncertified
+                lam = max(bound, prev)
+                status = UNRESOLVED
+            lam, res, bound = float(max(lam, prev)), float(res), float(bound)
+        out.lambdas.append(lam)
         out.eigenfields.append(u)
-        out.residuals.append(float(res))
+        out.residuals.append(res)
         out.statuses.append(status)
-        out.subspace_bounds.append(float(bound))
+        out.subspace_bounds.append(bound)
     return out
 
 

@@ -247,6 +247,7 @@ def test_infeasible_constraint_exits_2(tmp_path):
     ("measure", "atoms", 5),
     ("weights", "w1", [None]),
     ("measure", "density", "abc"),
+    ("solver", "descent_max_iter", 4000),
 ])
 def test_invalid_solve_values_exit_2_before_writing(tmp_path, capsys,
                                                     section, key, value):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from plapopt.grid import GridSpec, Field, field_from_function
 from plapopt.measure import (
@@ -136,6 +137,27 @@ def test_eigen_first_half_interval():
     ctx = EnergyContext(g, from_quasi_open(g, mask), lebesgue_weights(g))
     lam, u, res = eigen_first(ctx)
     assert math.isclose(lam, 4.0 * math.pi ** 2, rel_tol=1e-2)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_eigen_first_without_feasible_field_raises(p):
+    # w2 = w1, so g1 - g2 vanishes for every field
+    g = GridSpec(1, 32, (1.0,), p)
+    ctx = EnergyContext(g, zero_measure(g), WeightPair(g, 1.0, (), 1.0))
+    with pytest.raises(InfeasibleSubspace):
+        eigen_first(ctx, seed=0, options=FAST)
+
+
+def test_eigen_first_unconverged_pencil_raises(monkeypatch):
+    # above the dense limit, a Lanczos run that converged no pair leaves
+    # level 1 unknown: an error, not an infeasible level
+    def no_pair(B, *args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                       np.empty(0), np.empty((B.shape[0], 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_pair)
+    with pytest.raises(RuntimeError, match="not converged"):
+        eigen_first(plain_ctx(40, dim=2))
 
 
 def test_eigen_minimax_p2_oracle_match():
