@@ -74,8 +74,8 @@ class EnergyContext:
         return 1e-12 * np.maximum(np.abs(g1_value), 1e-300)
 
     @functools.cached_property
-    def _rows(self) -> _Rows:
-        return _rows_of(self)
+    def _rows(self) -> operators.Rows:
+        return operators.energy_rows(self.grid, self.mu, self.weights)
 
 
 def _check_grid(ctx: EnergyContext, u: Field):
@@ -86,42 +86,6 @@ def _check_grid(ctx: EnergyContext, u: Field):
 def _check_which(which: int):
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-
-
-class _Rows(NamedTuple):
-    """A context's measure data in the row layout of its energy map K.
-
-    y = K x stacks n_grad per-axis cell gradients, then the measure rows:
-    the cell anchor values and the values under the atoms of mu and of
-    nu1.  Each of f, g1 and g2 integrates |y|^p / p over the measure rows
-    with the weights below; f adds the p-Dirichlet term over kept cells.
-    """
-
-    n_grad: int
-    vol: float
-    keep: np.ndarray
-    f: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-
-
-def _rows_of(ctx: EnergyContext) -> _Rows:
-    grid, mu, weights = ctx.grid, ctx.mu, ctx.weights
-    vol = grid.cell_volume
-    n_mu, n_w1 = len(mu.atoms), len(weights.w1_atoms)
-    masses = lambda atoms: [mass for _, mass in atoms]
-    rows = _Rows(
-        grid.dim * grid.n_cells, vol,
-        operators.kept_cells(mu).astype(float),
-        np.concatenate([vol * mu.density.reshape(-1), masses(mu.atoms),
-                        np.zeros(n_w1)]),
-        np.concatenate([vol * weights.w1.reshape(-1), np.zeros(n_mu),
-                        masses(weights.w1_atoms)]),
-        np.concatenate([vol * weights.w2.reshape(-1),
-                        np.zeros(n_mu + n_w1)]))
-    for arr in rows[2:]:
-        arr.setflags(write=False)
-    return rows
 
 
 class _Parts(NamedTuple):

@@ -1,12 +1,15 @@
 """Sparse Hessians of the energy functionals on the free-node subspace.
 
-Used by the Newton refinements: the p-Dirichlet term contributes
-G^T D G with a per-cell d x d block |g|^(p-2) I + (p-2)|g|^(p-4) g g^T,
-positive semidefinite for every p > 1; density and atom terms contribute
-diagonals (p-1) w |u|^(p-2).  Negative powers of |u| are clamped so the
-Newton model stays bounded near zeros of the field.  Each Hessian is
-K^T M K for the restricted energy map K and a weight matrix M laid out
-like its rows, with the weights of the energy kernel.
+Every Hessian here is K_F^T W K_F (operators.sandwich): K_F is the energy
+map restricted to the free nodes, and W is one sparse matrix over K's
+rows built from the Hessian weights of a single energy-kernel pass.  A
+kept cell with gradient g contributes the d x d block
+|g|^(p-2) I + (p-2)|g|^(p-4) g g^T on its gradient rows, positive
+semidefinite for every p > 1; a measure row of sum c |y|^p / p
+contributes the diagonal (p-1) c |y|^(p-2).  Negative powers of |y| are
+clamped as by abs_pow, so the Newton model stays bounded near zeros of
+the field.  The Newton refinements of torsion and prox use the Hessian of
+f, the eigenpair polish that of f - lambda (g1 - g2).
 """
 
 from __future__ import annotations
@@ -14,45 +17,43 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from plapopt.energy import EnergyContext, _energy_map, _kernel, abs_pow
+from plapopt import operators
+from plapopt.energy import EnergyContext, _energy_map, _kernel
 from plapopt.grid import Field
 
 
-def _sandwich(K, idx: np.ndarray, entries) -> sp.spmatrix:
-    """K[:, idx]^T M K[:, idx], M given by (rows, cols, values) triples."""
-    rows, cols, vals = (np.concatenate(z) for z in zip(*entries))
-    M = sp.csr_matrix((vals, (rows, cols)), shape=(K.shape[0],) * 2)
-    Kf = K[:, idx]
-    return Kf.T @ (M @ Kf)
+def assemble(ctx: EnergyContext, KF, y: np.ndarray, c: np.ndarray,
+             dirichlet: bool = True):
+    """Kernel parts at y = K x and K_F^T W K_F from the same pass.
 
-
-def _measure_diagonal(ctx: EnergyContext, hmeas: np.ndarray,
-                      coef: np.ndarray):
-    """Second derivative of sum coef |y|^p / p over the measure rows."""
-    r = np.arange(ctx._rows.n_grad, ctx._rows.n_grad + hmeas.size)
-    return r, r, (ctx.p - 1.0) * coef * hmeas
+    W holds the Hessian weights of the p-Dirichlet term (without it when
+    dirichlet is False) plus sum c |y|^p / p over the measure rows: c is
+    rows.f for f, rows.g1 - rows.g2 for g1 - g2, and any combination of
+    the two for the matching combination of energies.
+    """
+    parts, curv = _kernel(ctx, y, ctx.eps_reg, hess=True)
+    rows, grid = ctx._rows, ctx.grid
+    diag = operators.hessian_diagonal(
+        grid.dim, curv.hcell if dirichlet else None, c, curv.hmeas, ctx.p)
+    r = np.arange(y.size - diag.size, y.size)    # all rows or the measure rows
+    entries = [(r, r, diag)]
+    if dirichlet and ctx.p != 2.0:
+        # the g g^T part of the cell blocks; it vanishes at p = 2
+        nc = grid.n_cells
+        cells = np.arange(nc)
+        grads = y[:rows.n_grad].reshape(grid.dim, nc)
+        entries += [(a * nc + cells, b * nc + cells,
+                     curv.hout * grads[a] * grads[b])
+                    for a in range(grid.dim) for b in range(grid.dim)]
+    r, s, w = (np.concatenate(z) for z in zip(*entries))
+    W = sp.csr_matrix((w, (r, s)), shape=(y.size,) * 2)
+    return parts, operators.sandwich(KF, W)
 
 
 def hessian_f(ctx: EnergyContext, u: Field, idx: np.ndarray) -> sp.spmatrix:
     """Hessian of the measure energy f at u, restricted to free nodes."""
-    grid = ctx.grid
-    rows = ctx._rows
     K = _energy_map(ctx)
-    y = K @ u.flat
-    _, curv = _kernel(ctx, y, ctx.eps_reg, hess=True)
-    nc = grid.n_cells
-    grads = y[:rows.n_grad].reshape(grid.dim, nc)
-    entries = [_measure_diagonal(ctx, curv.hmeas, rows.f)]
-    cells = np.arange(nc)
-    for a in range(grid.dim):
-        for b in range(grid.dim):
-            block = curv.hout * grads[a] * grads[b]
-            if a == b:
-                block += curv.hcell
-            elif ctx.p == 2.0:
-                continue
-            entries.append((a * nc + cells, b * nc + cells, block))
-    return _sandwich(K, idx, entries)
+    return assemble(ctx, K[:, idx], K @ u.flat, ctx._rows.f)[1]
 
 
 def hessian_g_diff(ctx: EnergyContext, u: Field,
@@ -60,6 +61,5 @@ def hessian_g_diff(ctx: EnergyContext, u: Field,
     """Hessian of g1 - g2 at u, restricted to free nodes."""
     K = _energy_map(ctx)
     rows = ctx._rows
-    hmeas = abs_pow((K @ u.flat)[rows.n_grad:], ctx.p - 2.0)
-    return _sandwich(K, idx, [_measure_diagonal(ctx, hmeas,
-                                                rows.g1 - rows.g2)])
+    return assemble(ctx, K[:, idx], K @ u.flat, rows.g1 - rows.g2,
+                    dirichlet=False)[1]

@@ -113,13 +113,6 @@ class CapacitaryMeasure:
     def fully_blocked(self) -> bool:
         return bool(self.blocked.all())
 
-    def atom_masses(self) -> np.ndarray:
-        """Atom masses as a flat per-interior-node array."""
-        out = np.zeros(self.grid.n_nodes)
-        for node, mass in self.atoms:
-            out[node] += mass
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, CapacitaryMeasure):
             return NotImplemented
@@ -154,12 +147,6 @@ class WeightPair:
         object.__setattr__(self, "w2", w2)
         object.__setattr__(self, "w1_atoms",
                            _canonical_atoms(self.grid, self.w1_atoms))
-
-    def w1_atom_masses(self) -> np.ndarray:
-        out = np.zeros(self.grid.n_nodes)
-        for node, mass in self.w1_atoms:
-            out[node] += mass
-        return out
 
     @property
     def trivial_nu1(self) -> bool:

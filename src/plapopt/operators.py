@@ -6,12 +6,16 @@ same order.  The per-axis factorization uses Kronecker products of the 1D
 forward-difference matrix and the 1D anchor selection.
 
 The operators are built once per grid (and atom set) and cached; every
-caller shares them, so their arrays are marked read-only.
+caller shares them, so their arrays are marked read-only.  The stacked
+energy map K fixes the row layout that the energies integrate over; the
+weights of f, g1 and g2 on its rows, the diagonal of their Hessian
+weights and the product K_F^T W K_F on the free nodes live here with it.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,6 +96,62 @@ def energy_map(grid: GridSpec, mu_atoms: Atoms,
          atom_op(grid, w1_atoms)], format="csr"))
 
 
+class Rows(NamedTuple):
+    """A problem's measure data in the row layout of its energy map K.
+
+    y = K x stacks n_grad per-axis cell gradients, then the measure rows:
+    the cell anchor values and the values under the atoms of mu and of
+    nu1.  Each of f, g1 and g2 integrates |y|^p / p over the measure rows
+    with the weights below; f adds the p-Dirichlet term over kept cells.
+    """
+
+    n_grad: int
+    vol: float
+    keep: np.ndarray
+    f: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+
+
+def energy_rows(grid: GridSpec, mu: CapacitaryMeasure,
+                weights: WeightPair) -> Rows:
+    """The weights of f, g1 and g2 on the rows of energy_map."""
+    vol = grid.cell_volume
+    n_mu, n_w1 = len(mu.atoms), len(weights.w1_atoms)
+    masses = lambda atoms: [mass for _, mass in atoms]
+    rows = Rows(
+        grid.dim * grid.n_cells, vol, kept_cells(mu).astype(float),
+        np.concatenate([vol * mu.density.reshape(-1), masses(mu.atoms),
+                        np.zeros(n_w1)]),
+        np.concatenate([vol * weights.w1.reshape(-1), np.zeros(n_mu),
+                        masses(weights.w1_atoms)]),
+        np.concatenate([vol * weights.w2.reshape(-1),
+                        np.zeros(n_mu + n_w1)]))
+    for arr in rows[2:]:
+        arr.setflags(write=False)
+    return rows
+
+
+def hessian_diagonal(dim: int, hcell, c, hmeas, p: float) -> np.ndarray:
+    """Diagonal of the Hessian weights over K's rows; a stack row by row.
+
+    The gradient rows of every axis get hcell, the identity part of the
+    cell blocks hcell I + hout g g^T (hcell None leaves them out: the
+    measure rows only).  A measure row of sum c |y|^p / p gets its second
+    derivative (p - 1) c |y|^(p-2), from hmeas = |y|^(p-2).
+    """
+    meas = c * ((p - 1.0) * hmeas)
+    if hcell is None:
+        return meas
+    return np.concatenate([np.tile(hcell, dim), meas], axis=-1)
+
+
+def sandwich(KF: sp.csr_matrix, W: sp.spmatrix) -> sp.csr_matrix:
+    """K_F^T W K_F: the second derivative in the free-node values x of an
+    energy of y = K_F x whose Hessian in y is W."""
+    return KF.T @ (W @ KF)
+
+
 def free_node_mask(grid: GridSpec, mu: CapacitaryMeasure) -> np.ndarray:
     """Flat boolean mask of unconstrained interior nodes."""
     return ~blocked_adjacent_nodes(grid, mu.blocked).reshape(-1)
@@ -114,31 +174,16 @@ def p2_matrices(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair,
     """Stiffness/weight pencil of the quadratic (p=2) energies.
 
     Returns sparse symmetric ``(A, B)`` restricted to free nodes, with
-    u^T A u = 2 f_mu(u) and u^T B u = 2 (g1 - g2)(u) for p = 2.
+    u^T A u = 2 f_mu(u) and u^T B u = 2 (g1 - g2)(u) for p = 2: the
+    Hessians of f and of g1 - g2, whose p = 2 weights do not depend on u.
     """
     if free is None:
         free = free_node_mask(grid, mu)
     idx = np.flatnonzero(free)
-    vol = grid.cell_volume
-    keep = kept_cells(mu)
-
-    A = sp.csr_matrix((idx.size, idx.size))
-    for G in gradient_ops(grid):
-        Gf = G[:, idx]
-        Gf = sp.diags(keep.astype(float)) @ Gf
-        A = A + vol * (Gf.T @ Gf)
-
-    anchor = anchor_op(grid)[:, idx]
-    dens = mu.density.reshape(-1)
-    A = A + vol * (anchor.T @ sp.diags(dens) @ anchor)
-    A = A + _node_diag(grid, mu.atom_masses(), idx)
-
-    w1 = weights.w1.reshape(-1)
-    w2 = weights.w2.reshape(-1)
-    B = vol * (anchor.T @ sp.diags(w1 - w2) @ anchor)
-    B = B + _node_diag(grid, weights.w1_atom_masses(), idx)
+    rows = energy_rows(grid, mu, weights)
+    KF = energy_map(grid, mu.atoms, weights.w1_atoms)[:, idx]
+    diag = lambda hcell, c: sp.diags(
+        hessian_diagonal(grid.dim, hcell, c, 1.0, 2.0), format="csr")
+    A = sandwich(KF, diag(rows.vol * rows.keep, rows.f))
+    B = sandwich(KF[rows.n_grad:], diag(None, rows.g1 - rows.g2))
     return A.tocsc(), B.tocsc(), idx
-
-
-def _node_diag(grid: GridSpec, node_masses: np.ndarray, idx: np.ndarray):
-    return sp.diags(node_masses[idx], format="csc")

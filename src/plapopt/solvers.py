@@ -112,7 +112,8 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
     f, g = value_and_grad(x)
     gn = grad_norm(g)
     scale = max(abs(grad_scale), 1e-300)
-    decrement = math.inf
+    # no step taken yet: an iterate that passes the gradient test needs none
+    decrement = 0.0
     lm = 0.0
     it = 0
     for it in range(1, max_iter + 1):

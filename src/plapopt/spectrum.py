@@ -46,6 +46,8 @@ from plapopt.operators import _embed
 M_MAX_LIMIT = 6
 DENSE_DOF_LIMIT = 1400
 CERT_TOL = 1e-6
+NEWTON_MAX_ITER = 60     # Newton steps of one eigenpair polish
+MAX_RESTARTS = 3         # random initial subspaces of a level after the seed
 
 FINITE = "finite"
 INFEASIBLE = "infeasible"
@@ -133,8 +135,6 @@ class SolverOptions:
     n_starts: int = 32
     max_ascent_iter: int = 120
     max_outer_iter: int = 25
-    max_restarts: int = 3
-    newton_max_iter: int = 60
     cert_tol: float = CERT_TOL
 
 
@@ -247,18 +247,20 @@ class _SubspaceEval:
         """Kernel parts at the rows of X with the coefficient Hessians
         (KM)^T W (KM) of f and of g1 - g2, shape (S, m, m) each, built
         from the Hessian weights of the same kernel pass."""
-        rows, dim, KM = self.ctx._rows, self.ctx.grid.dim, self.KM
+        ctx, KM = self.ctx, self.KM
+        rows, dim, p = ctx._rows, ctx.grid.dim, ctx.p
         y = _push(KM, X)
-        parts, curv = _kernel(self.ctx, y, self.ctx.eps_reg, hess=True)
-        hm = (self.ctx.p - 1.0) * curv.hmeas
-        diag = np.concatenate([np.tile(curv.hcell, dim), rows.f * hm], -1)
+        parts, curv = _kernel(ctx, y, ctx.eps_reg, hess=True)
+        diag = operators.hessian_diagonal(dim, curv.hcell, rows.f,
+                                          curv.hmeas, p)
         Hf = np.matmul(KM.T * diag[:, None, :], KM)
         # the g g^T part of the cell blocks: Z = sum over axes a of g_a K_a M
         grads = y[:, :rows.n_grad].reshape(len(X), dim, -1, 1)
         Z = (grads * KM[:rows.n_grad].reshape(dim, -1, self.m)).sum(axis=1)
         Hf += np.matmul(Z.transpose(0, 2, 1) * curv.hout[:, None, :], Z)
-        Hd = np.matmul(self.KM_meas.T * ((rows.g1 - rows.g2) * hm)[:, None, :],
-                       self.KM_meas)
+        diag = operators.hessian_diagonal(dim, None, rows.g1 - rows.g2,
+                                          curv.hmeas, p)
+        Hd = np.matmul(self.KM_meas.T * diag[:, None, :], self.KM_meas)
         return parts, Hf, Hd
 
     def denom_stack(self, X):
@@ -527,37 +529,35 @@ def certify(ctx: EnergyContext, u: Field, lam: float,
     return res <= tol * abs(lam) * u.norm_p() ** (ctx.p - 1.0)
 
 
-def polish_eigenpair(ctx: EnergyContext, u: Field, *,
-                     options: SolverOptions | None = None
+def polish_eigenpair(ctx: EnergyContext, u: Field
                      ) -> tuple[float, Field, float]:
     """Damped Newton on (f'(u) - lambda (g1'-g2')(u), g1-g2-1) = 0.
 
-    Returns (lambda, field, residual); the input only needs to be a
-    feasible approximation.
+    Each step makes one kernel pass with Hessian weights and assembles
+    the Hessian of f - lambda (g1 - g2) once.  Returns (lambda, field,
+    residual); the input only needs to be a feasible approximation.
     """
-    opts = options or SolverOptions()
     grid = ctx.grid
+    rows = ctx._rows
     idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
     ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
     u = _normalize(ctx, u)
     lam = rayleigh(ctx, u)
 
-    def system(x, lam: float):
+    def system(parts, lam: float):
         """Eigen-equation residual on the free nodes, g1 - g2, g1 and
-        the gradient of g1 - g2 at the free-node values x."""
-        parts = ev.parts(x)
+        the gradient of g1 - g2 from the kernel parts at x."""
         gdiff = (parts.dg1 - parts.dg2) @ ev.KM_meas
         return (parts.df @ ev.KM - lam * gdiff, parts.g1 - parts.g2,
                 parts.g1, gdiff)
 
     x = u.flat[idx]
     best = (lam, u, residual(ctx, u, lam))
-    for _ in range(opts.newton_max_iter):
-        field = _embed(grid, idx, x)
-        r, denom, _, gdiff = system(x, lam)
-        Hf = hessians.hessian_f(ctx, field, idx)
-        Hg = hessians.hessian_g_diff(ctx, field, idx)
-        J = sp.bmat([[Hf - lam * Hg, -sp.csc_matrix(gdiff).T],
+    for _ in range(NEWTON_MAX_ITER):
+        parts, H = hessians.assemble(ctx, ev.KM, ev.KM @ x,
+                                     rows.f - lam * (rows.g1 - rows.g2))
+        r, denom, _, gdiff = system(parts, lam)
+        J = sp.bmat([[H, -sp.csc_matrix(gdiff).T],
                      [sp.csc_matrix(gdiff), None]], format="csc")
         rhs = -np.concatenate([r, [denom - 1.0]])
         try:
@@ -572,7 +572,7 @@ def polish_eigenpair(ctx: EnergyContext, u: Field, *,
         for _ in range(30):
             x_new = x + step * delta[:-1]
             lam_new = lam + step * delta[-1]
-            r_new, denom, g1, _ = system(x_new, lam_new)
+            r_new, denom, g1, _ = system(ev.parts(x_new), lam_new)
             if denom > ctx.feasibility_tol(g1):
                 rn = np.concatenate([r_new, [denom - 1.0]])
                 if np.linalg.norm(rn) < res0 * (1.0 - 1e-4 * step):
@@ -760,7 +760,7 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
         if len(init_fields) >= m:
             yield np.stack([f.flat for f in init_fields[:m]])
         base = [f.flat for f in init_fields[:m]]
-        for _ in range(opts.max_restarts):
+        for _ in range(MAX_RESTARTS):
             rows = list(base)
             while len(rows) < m:
                 v = np.zeros(grid.n_nodes)
@@ -829,5 +829,5 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
 
     val, cand, xi = min(best, (val, cand, xi), key=lambda t: t[0])
     u_star = cand.combine(xi)
-    lam, u, res = polish_eigenpair(ctx, u_star, options=opts)
+    lam, u, res = polish_eigenpair(ctx, u_star)
     return val, lam, u, res

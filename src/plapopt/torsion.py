@@ -202,7 +202,7 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
 
     if p == 2.0:
         A, _, _ = operators.p2_matrices(grid, mu, lebesgue_weights(grid), free)
-        M = vol * (anchor.T @ sp.diags(bflat) @ anchor)
+        M = operators.sandwich(anchor, sp.diags(vol * bflat))
         x = spla.spsolve((A + k * M).tocsc(), k * (M @ zfree))
         return _embed(grid, idx, x), SolveReport(1, 0.0, True)
 
@@ -215,9 +215,9 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
                 k * vol * (anchor.T @ (bflat * _odd(diff, p))))
 
     def fidelity_hessian(x):
-        diff = anchor @ x - z_anchor
-        dfid = k * (p - 1.0) * vol * bflat * abs_pow(diff, p - 2.0)
-        return anchor.T @ sp.diags(dfid) @ anchor
+        hmeas = abs_pow(anchor @ x - z_anchor, p - 2.0)
+        return operators.sandwich(anchor, sp.diags(operators.hessian_diagonal(
+            grid.dim, None, k * vol * bflat, hmeas, p)))
 
     x, info = _bb_then_newton(
         ctx, idx, zfree, fidelity, fidelity_hessian,

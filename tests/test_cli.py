@@ -248,6 +248,8 @@ def test_infeasible_constraint_exits_2(tmp_path):
     ("weights", "w1", [None]),
     ("measure", "density", "abc"),
     ("solver", "descent_max_iter", 4000),
+    ("solver", "newton_max_iter", 60),
+    ("solver", "max_restarts", 3),
 ])
 def test_invalid_solve_values_exit_2_before_writing(tmp_path, capsys,
                                                     section, key, value):

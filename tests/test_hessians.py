@@ -1,13 +1,17 @@
-"""Sparse Hessians against central differences of the energy gradients."""
+"""Sparse Hessians against central differences of the energy gradients,
+and the p = 2 pencil against its definition."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from plapopt.grid import GridSpec, Field
 from plapopt.measure import CapacitaryMeasure, WeightPair
-from plapopt.energy import EnergyContext, energy_gradient, g_gradient
-from plapopt.hessians import hessian_f, hessian_g_diff
-from plapopt.operators import free_node_mask
+from plapopt.energy import (EnergyContext, _energy_map, energy_gradient,
+                            f_energy, g_energy, g_gradient)
+from plapopt.hessians import assemble, hessian_f, hessian_g_diff
+from plapopt.operators import free_node_mask, p2_matrices
+from oracles import dense_pencil_1d
 
 STEP = 1e-5
 RTOL = 1e-7
@@ -63,3 +67,53 @@ def test_hessians_match_gradient_differences(dim, n, p):
         lambda w: g_gradient(ctx, w, 1).flat - g_gradient(ctx, w, 2).flat,
         ctx, free, values, v)
     _assert_close(hessian_g_diff(ctx, u, free) @ v, fd_g)
+
+    # the eigenpair polish assembles f - lam (g1 - g2) in one pass
+    lam, rows, K = 3.7, ctx._rows, _energy_map(ctx)
+    _, H = assemble(ctx, K[:, free], K @ u.flat,
+                    rows.f - lam * (rows.g1 - rows.g2))
+    ref = hessian_f(ctx, u, free) - lam * hessian_g_diff(ctx, u, free)
+    assert spla.norm(H - ref) <= 1e-12 * spla.norm(ref)
+
+
+def test_p2_pencil_matches_dense_oracle_1d():
+    n, length = 24, 1.3
+    g = GridSpec(1, n, (length,), 2.0)
+    rng = np.random.default_rng(11)
+    blocked = np.zeros(n, dtype=bool)
+    blocked[[5, 17]] = True
+    V = 3.0 * rng.random(n)
+    w1 = 1.0 + rng.random(n)
+    w2 = 1.5 * rng.random(n)
+    mu_atoms, w1_atoms = ((2, 0.7), (12, 0.3)), ((9, 0.4),)
+    mu = CapacitaryMeasure(g, V, blocked, mu_atoms)
+    A, B, idx = p2_matrices(g, mu, WeightPair(g, w1, w1_atoms, w2))
+    A_ref, B_ref, free = dense_pencil_1d(n, length, mu.density, w1, w2,
+                                         blocked, mu_atoms, w1_atoms)
+    assert np.array_equal(idx, free)
+    for M, ref in ((A, A_ref), (B, B_ref)):
+        np.testing.assert_allclose(M.toarray(), ref, rtol=0.0,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
+def test_p2_pencil_gives_twice_the_energies_2d():
+    g = GridSpec(2, 8, (1.0, 1.4), 2.0)
+    rng = np.random.default_rng(12)
+    blocked = np.zeros(g.cells_shape, dtype=bool)
+    blocked[2, 5] = blocked[6, 1] = True
+    mu = CapacitaryMeasure(g, 2.0 * rng.random(g.cells_shape), blocked)
+    # w2 exceeds w1 on part of the square: g1 - g2 changes sign
+    weights = WeightPair(g, rng.random(g.cells_shape), (),
+                         rng.random(g.cells_shape))
+    ctx = EnergyContext(g, mu, weights)
+    A, B, idx = p2_matrices(g, mu, weights)
+    for _ in range(5):
+        values = np.zeros(g.n_nodes)
+        values[idx] = rng.standard_normal(idx.size)
+        u = Field(g, values)
+        x = values[idx]
+        f = f_energy(ctx, u)
+        gdiff = g_energy(ctx, u, 1) - g_energy(ctx, u, 2)
+        scale = g_energy(ctx, u, 1) + g_energy(ctx, u, 2)
+        assert abs(x @ (A @ x) - 2.0 * f) <= 1e-12 * f
+        assert abs(x @ (B @ x) - 2.0 * gdiff) <= 1e-12 * scale
