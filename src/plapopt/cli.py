@@ -200,8 +200,7 @@ def _read_weights(sec: _Section, grid: GridSpec) -> WeightPair:
 def _read_solver(sec: _Section) -> tuple[SolverOptions, int]:
     defaults = SolverOptions()
     options = SolverOptions(**{
-        f.name: sec.take(f.name, _number if f.name == "cert_tol"
-                         else _integer(0), getattr(defaults, f.name))
+        f.name: sec.take(f.name, _integer(0), getattr(defaults, f.name))
         for f in fields(SolverOptions)})
     return options, sec.take("m_max", _integer(1, M_MAX_LIMIT), 4)
 

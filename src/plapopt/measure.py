@@ -109,10 +109,6 @@ class CapacitaryMeasure:
         object.__setattr__(self, "blocked", blocked)
         object.__setattr__(self, "atoms", _canonical_atoms(self.grid, self.atoms))
 
-    @property
-    def fully_blocked(self) -> bool:
-        return bool(self.blocked.all())
-
     def __eq__(self, other):
         if not isinstance(other, CapacitaryMeasure):
             return NotImplemented

@@ -152,17 +152,14 @@ class OptimizeResult:
 
 
 def project_psi_budget(V, c: float, psi: PsiSpec,
-                       grid: GridSpec | None = None,
-                       tol: float = BUDGET_PROJECT_TOL) -> np.ndarray:
+                       grid: GridSpec) -> np.ndarray:
     """Rescale a potential onto the budget surface int Psi(V) = c.
 
     Applies Psi^{-1}(clip(Psi(V) + t)) with the scalar t found by
     bisection; the budget integral is monotone increasing in t, and the
-    result satisfies |int Psi(V') - c| <= tol * c.
+    result satisfies |int Psi(V') - c| <= BUDGET_PROJECT_TOL * c.
     """
     V = np.asarray(V, dtype=float)
-    if grid is None:
-        raise ValueError("grid is required")
     if np.any(V < 0):
         raise ValueError("potential must be >= 0")
     vol = grid.cell_volume
@@ -173,8 +170,9 @@ def project_psi_budget(V, c: float, psi: PsiSpec,
         shifted = np.clip(psi_vals + t, 1e-300, lo_val)
         return vol * float(shifted.sum())
 
-    if abs(budget(0.0) - c) <= tol * c:
-        return _from_psi_values(psi, np.clip(psi_vals, 1e-300, lo_val))
+    if abs(budget(0.0) - c) <= BUDGET_PROJECT_TOL * c:
+        return np.asarray(psi.inverse(np.clip(psi_vals, 1e-300, lo_val)),
+                          dtype=float)
     t_lo, t_hi = 0.0, 0.0
     if budget(0.0) < c:
         t_hi = 1.0
@@ -191,18 +189,14 @@ def project_psi_budget(V, c: float, psi: PsiSpec,
     for _ in range(400):
         t_mid = 0.5 * (t_lo + t_hi)
         val = budget(t_mid)
-        if abs(val - c) <= tol * c:
+        if abs(val - c) <= BUDGET_PROJECT_TOL * c:
             break
         if val < c:
             t_lo = t_mid
         else:
             t_hi = t_mid
     shifted = np.clip(psi_vals + t_mid, 1e-300, lo_val)
-    return _from_psi_values(psi, shifted)
-
-
-def _from_psi_values(psi: PsiSpec, vals: np.ndarray) -> np.ndarray:
-    return np.asarray(psi.inverse(vals), dtype=float)
+    return np.asarray(psi.inverse(shifted), dtype=float)
 
 
 def _solve_spectrum(grid, mu, weights, k, seed, options) -> SpectralResult:

@@ -18,8 +18,7 @@ def bb_minimize(x0: np.ndarray, value_and_grad, *,
                 tol_decrement: float = 1e-10,
                 tol_grad: float = 1e-8,
                 grad_norm=None,
-                grad_scale: float = 1.0,
-                armijo: float = 1e-4):
+                grad_scale: float = 1.0):
     """Minimize a smooth (convex or not) objective by BB descent.
 
     Args:
@@ -56,7 +55,7 @@ def bb_minimize(x0: np.ndarray, value_and_grad, *,
         for _ in range(60):
             x_new = x + step * d
             f_new, g_new = value_and_grad(x_new)
-            if math.isfinite(f_new) and f_new <= f + armijo * step * gd:
+            if math.isfinite(f_new) and f_new <= f + 1e-4 * step * gd:
                 accepted = True
                 break
             step *= 0.5

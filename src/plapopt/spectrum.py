@@ -47,7 +47,7 @@ M_MAX_LIMIT = 6
 DENSE_DOF_LIMIT = 1400
 CERT_TOL = 1e-6
 NEWTON_MAX_ITER = 60     # Newton steps of one eigenpair polish
-MAX_RESTARTS = 3         # random initial subspaces of a level after the seed
+MAX_RESTARTS = 3         # initial subspaces of a level, the seed included
 
 FINITE = "finite"
 INFEASIBLE = "infeasible"
@@ -122,7 +122,7 @@ class SpectralResult:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs of the general-p machinery (p = 2 ignores most of them).
+    """Knobs of the general-p machinery (p = 2 ignores them).
 
     n_starts sets the cold starts of the inner supremum: e_1, ..., e_m
     and n_starts - 2m random unit vectors.  max_ascent_iter caps the
@@ -135,7 +135,6 @@ class SolverOptions:
     n_starts: int = 32
     max_ascent_iter: int = 120
     max_outer_iter: int = 25
-    cert_tol: float = CERT_TOL
 
 
 # ----------------------------------------------------------------------
@@ -457,8 +456,6 @@ def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
     """
     opts = options or SolverOptions()
     m = candidate.m
-    if m > M_MAX_LIMIT:
-        raise ValueError(f"m must be <= {M_MAX_LIMIT}")
     if candidate.grid != ctx.grid:
         raise ValueError("candidate grid mismatch")
     rng = np.random.default_rng(seed)
@@ -519,14 +516,19 @@ def _sup_on_sphere_p2(ev: _SubspaceEval):
 # ----------------------------------------------------------------------
 # eigenpair polishing / certification
 
-def certify(ctx: EnergyContext, u: Field, lam: float,
-            tol: float = CERT_TOL) -> bool:
-    """True iff the residual is below tol * lambda * ||u||^(p-1)."""
+def _certified(ctx: EnergyContext, u: Field, lam: float, res: float) -> bool:
+    """The certification rule: res <= CERT_TOL * |lambda| * ||u||^(p-1).
+    A NaN residual fails it."""
+    return res <= CERT_TOL * abs(lam) * u.norm_p() ** (ctx.p - 1.0)
+
+
+def certify(ctx: EnergyContext, u: Field, lam: float) -> bool:
+    """True iff the residual of (lam, u) passes the certification rule."""
     try:
         res = residual(ctx, u, lam)
     except ConstraintViolation:
         return False
-    return res <= tol * abs(lam) * u.norm_p() ** (ctx.p - 1.0)
+    return _certified(ctx, u, lam, res)
 
 
 def polish_eigenpair(ctx: EnergyContext, u: Field
@@ -597,9 +599,10 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
 # ----------------------------------------------------------------------
 # the minimax sweep; the first eigenvalue is its level 1
 
-def _probe_fields(ctx: EnergyContext, rng: np.random.Generator,
-                  count: int = 12) -> list[Field]:
-    """Heuristic feasibility probes: weight-supported bumps and noise."""
+def _probe_fields(ctx: EnergyContext,
+                  rng: np.random.Generator) -> list[Field]:
+    """Heuristic feasibility probes: weight-supported bumps and 12 noise
+    fields."""
     grid = ctx.grid
     free = operators.free_node_mask(grid, ctx.mu)
     probes = []
@@ -613,7 +616,7 @@ def _probe_fields(ctx: EnergyContext, rng: np.random.Generator,
         if free[node]:
             v[node] = 1.0
             probes.append(Field(grid, v))
-    for _ in range(count):
+    for _ in range(12):
         v = np.zeros(grid.n_nodes)
         v[free] = rng.standard_normal(int(free.sum()))
         if v.any():
@@ -626,13 +629,17 @@ def _feasible(ctx: EnergyContext, u: Field) -> bool:
     return parts.g1 - parts.g2 > ctx.feasibility_tol(parts.g1)
 
 
-def _p2_context(ctx: EnergyContext) -> EnergyContext:
+def _p2_context(ctx: EnergyContext) -> EnergyContext | None:
+    """The same problem at p = 2, or None when its nu1 vanishes: atoms need
+    p > dim, so a 2D nu1 made only of atoms has no p = 2 counterpart."""
     grid2 = GridSpec(ctx.grid.dim, ctx.grid.n, ctx.grid.lengths, 2.0)
-    mu2 = CapacitaryMeasure(grid2, ctx.mu.density, ctx.mu.blocked,
-                            ctx.mu.atoms if grid2.p > grid2.dim else ())
     w2 = WeightPair(grid2, ctx.weights.w1,
                     ctx.weights.w1_atoms if grid2.p > grid2.dim else (),
                     ctx.weights.w2)
+    if w2.trivial_nu1:
+        return None
+    mu2 = CapacitaryMeasure(grid2, ctx.mu.density, ctx.mu.blocked,
+                            ctx.mu.atoms if grid2.p > grid2.dim else ())
     return EnergyContext(grid2, mu2, w2)
 
 
@@ -649,10 +656,10 @@ def eigen_minimax(ctx: EnergyContext, m_max: int, *, seed: int = 0,
     """
     if not 1 <= m_max <= M_MAX_LIMIT:
         raise ValueError(f"m_max must be in 1..{M_MAX_LIMIT}")
-    opts = options or SolverOptions()
     if ctx.p == 2.0:
-        return _eigen_minimax_p2(ctx, m_max, opts)
-    return _eigen_minimax_general(ctx, m_max, seed, opts)
+        return _eigen_minimax_p2(ctx, m_max)
+    return _eigen_minimax_general(ctx, m_max, seed,
+                                  options or SolverOptions())
 
 
 def eigen_first(ctx: EnergyContext, *, seed: int = 0,
@@ -674,25 +681,27 @@ def eigen_first(ctx: EnergyContext, *, seed: int = 0,
     return result.lambdas[0], result.eigenfields[0], result.residuals[0]
 
 
-def _eigen_minimax_p2(ctx: EnergyContext, m_max: int,
-                      opts: SolverOptions) -> SpectralResult:
+def _spectral_result(levels: list[tuple], m_max: int,
+                     missing: str) -> SpectralResult:
+    """The result of (lambda, field, residual, status, bound) level
+    records, filled up to m_max with levels of value inf and status
+    missing."""
+    levels = levels + [(math.inf, None, None, missing, math.inf)] * (
+        m_max - len(levels))
+    return SpectralResult(*(list(column) for column in zip(*levels)))
+
+
+def _eigen_minimax_p2(ctx: EnergyContext, m_max: int) -> SpectralResult:
     lams, vecs, complete = _pencil_positive_eigs(ctx, m_max)
-    out = SpectralResult([], [], [], [], [])
-    for m in range(1, m_max + 1):
-        lam, u, res = math.inf, None, None
-        status = INFEASIBLE if complete else UNRESOLVED
-        if m <= len(lams):
-            u = _normalize(ctx, vecs[m - 1])
-            lam = float(lams[m - 1])
-            res = residual(ctx, u, lam)
-            ok = res <= opts.cert_tol * abs(lam) * u.norm_p() ** (ctx.p - 1)
-            status = FINITE if ok else UNRESOLVED
-        out.lambdas.append(lam)
-        out.eigenfields.append(u)
-        out.residuals.append(res)
-        out.statuses.append(status)
-        out.subspace_bounds.append(lam)
-    return out
+    levels = []
+    for lam, v in zip(lams, vecs):
+        u = _normalize(ctx, v)
+        lam = float(lam)
+        res = residual(ctx, u, lam)
+        status = FINITE if _certified(ctx, u, lam, res) else UNRESOLVED
+        levels.append((lam, u, res, status, lam))
+    return _spectral_result(levels, m_max,
+                            INFEASIBLE if complete else UNRESOLVED)
 
 
 def _orthonormal_rows(mat: np.ndarray) -> np.ndarray:
@@ -704,44 +713,31 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
                            opts: SolverOptions) -> SpectralResult:
     grid = ctx.grid
     rng = np.random.default_rng(seed)
-    free = operators.free_node_mask(grid, ctx.mu)
-    idx = np.flatnonzero(free)
+    idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
 
-    init_fields: list[Field] = []
-    try:
-        lams2, vecs2, _ = _pencil_positive_eigs(_p2_context(ctx), m_max)
-        init_fields = [Field(grid, v.values) for v in vecs2]
-    except Exception:
-        init_fields = []
+    ctx2 = _p2_context(ctx)
+    init_fields = [] if ctx2 is None else [
+        Field(grid, v.values) for v in _pencil_positive_eigs(ctx2, m_max)[1]]
     if not init_fields:
         init_fields = [f for f in _probe_fields(ctx, rng)
                        if _feasible(ctx, f)][:m_max]
 
-    out = SpectralResult([], [], [], [], [])
+    levels = []
     for m in range(1, m_max + 1):
-        # every level above an infeasible one is infeasible too
-        level = None if INFEASIBLE in out.statuses else _minimax_level(
-            ctx, m, idx, init_fields, rng, opts, seed)
-        lam, u, res, status, bound = math.inf, None, None, INFEASIBLE, math.inf
-        if level is not None:
-            bound, lam, u, res = level
-            prev = out.lambdas[m - 2] if m >= 2 else -math.inf
-            floor = prev - 1e-9 * max(abs(prev), 1.0)
-            status = FINITE
-            if res > opts.cert_tol * abs(lam) * u.norm_p() ** (ctx.p - 1):
-                status = UNRESOLVED
-            if lam < floor:
-                # the polished pair slid below the previous level; keep the
-                # ordering by reporting the subspace bound, uncertified
-                lam = max(bound, prev)
-                status = UNRESOLVED
-            lam, res, bound = float(max(lam, prev)), float(res), float(bound)
-        out.lambdas.append(lam)
-        out.eigenfields.append(u)
-        out.residuals.append(res)
-        out.statuses.append(status)
-        out.subspace_bounds.append(bound)
-    return out
+        level = _minimax_level(ctx, m, idx, init_fields, rng, opts, seed)
+        if level is None:
+            break
+        bound, lam, u, res = level
+        prev = levels[-1][0] if levels else -math.inf
+        status = FINITE if _certified(ctx, u, lam, res) else UNRESOLVED
+        if lam < prev - 1e-9 * max(abs(prev), 1.0):
+            # the polished pair slid below the previous level; keep the
+            # ordering by reporting the subspace bound, uncertified
+            lam, status = max(bound, prev), UNRESOLVED
+        levels.append((float(max(lam, prev)), u, float(res), status,
+                       float(bound)))
+    # every level above an infeasible one is infeasible too
+    return _spectral_result(levels, m_max, INFEASIBLE)
 
 
 def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
@@ -757,8 +753,7 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
             return None
 
     def initial_matrices():
-        if len(init_fields) >= m:
-            yield np.stack([f.flat for f in init_fields[:m]])
+        # the seed fields filled up with random rows, then fully random
         base = [f.flat for f in init_fields[:m]]
         for _ in range(MAX_RESTARTS):
             rows = list(base)
@@ -766,13 +761,9 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
                 v = np.zeros(grid.n_nodes)
                 v[idx] = rng.standard_normal(idx.size)
                 rows.append(v)
-            if len(rows) > m:
-                rows = rows[:m]
             yield np.stack(rows)
-            base = []  # later restarts are fully random
+            base = []
 
-    feasible_found = False
-    best = None  # (value, candidate, xi)
     for mat in initial_matrices():
         cand = build_candidate(mat)
         if cand is None:
@@ -782,14 +773,10 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
                                     options=opts)
         except InfeasibleSubspace:
             continue
-        feasible_found = True
-        if best is None or val < best[0]:
-            best = (val, cand, xi)
         break
-    if not feasible_found:
+    else:
         return None
 
-    val, cand, xi = best
     accepted_step = None
     for _ in range(opts.max_outer_iter):
         parts = _field_parts(ctx, cand.combine(xi))
@@ -802,7 +789,6 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
         # the first trial doubles the last accepted step, so it is usually
         # the one kept
         step = 1.0 / scale if accepted_step is None else 2.0 * accepted_step
-        improved = False
         for _ in range(6):
             new_mat = mat - step * np.outer(xi, gradR)
             cand_new = build_candidate(new_mat)
@@ -814,20 +800,14 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
                 except InfeasibleSubspace:
                     val_new = math.inf
                 if val_new < val * (1.0 - 1e-12):
-                    val, cand, xi = val_new, cand_new, xi_new
-                    accepted_step = step
-                    improved = True
                     break
             step *= 0.25
-        if not improved:
+        else:
+            break           # no trial lowered the supremum
+        prev, val, cand, xi = val, val_new, cand_new, xi_new
+        accepted_step = step
+        if prev - val <= 1e-7 * max(abs(val), 1.0):
             break
-        if (best[0] - val) <= 1e-7 * max(abs(val), 1.0):
-            best = (val, cand, xi)
-            break
-        if val < best[0]:
-            best = (val, cand, xi)
 
-    val, cand, xi = min(best, (val, cand, xi), key=lambda t: t[0])
-    u_star = cand.combine(xi)
-    lam, u, res = polish_eigenpair(ctx, u_star)
+    lam, u, res = polish_eigenpair(ctx, cand.combine(xi))
     return val, lam, u, res

@@ -59,17 +59,14 @@ def _load_vector(grid: GridSpec, free_idx: np.ndarray) -> np.ndarray:
     return grid.cell_volume * (anchor.T @ ones)
 
 
-def torsion(mu: CapacitaryMeasure,
-            grid: GridSpec | None = None) -> tuple[Field, SolveReport]:
+def torsion(mu: CapacitaryMeasure) -> tuple[Field, SolveReport]:
     """Torsion function of a measure with its solve report.
 
     p = 2 solves the sparse linear system directly; general p starts
     from the p = 2 profile and descends the convex objective (BB stage,
     then Newton through a smoothing continuation for p < 2).
     """
-    grid = mu.grid if grid is None else grid
-    if grid != mu.grid:
-        raise ValueError("grid mismatch")
+    grid = mu.grid
     ctx = _torsion_context(mu)
     free = operators.free_node_mask(grid, mu)
     idx = np.flatnonzero(free)
@@ -157,11 +154,9 @@ def field_distance_p(a: Field, b: Field) -> float:
     return float(integrate(grid, np.abs(diff) ** grid.p) ** (1.0 / grid.p))
 
 
-def gamma_distance(mu1: CapacitaryMeasure, mu2: CapacitaryMeasure,
-                   grid: GridSpec | None = None) -> float:
+def gamma_distance(mu1: CapacitaryMeasure, mu2: CapacitaryMeasure) -> float:
     """L^p distance of the torsion functions of two measures."""
-    grid = mu1.grid if grid is None else grid
-    if mu1.grid != grid or mu2.grid != grid:
+    if mu1.grid != mu2.grid:
         raise ValueError("grid mismatch")
     w1, r1 = torsion(mu1)
     w2, r2 = torsion(mu2)

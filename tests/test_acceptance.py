@@ -350,7 +350,7 @@ def test_c11_set_optimization_faber_krahn():
 def test_c12_eigenpair_certification():
     assert REPORTED_PAIRS, "earlier criteria must register eigenpairs"
     for ctx, u, lam in REPORTED_PAIRS:
-        assert certify(ctx, u, lam, tol=1e-6)
+        assert certify(ctx, u, lam)
     report(12, "eigenpair certification",
            f"{len(REPORTED_PAIRS)} pairs at 1e-6 relative")
 

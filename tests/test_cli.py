@@ -250,6 +250,7 @@ def test_infeasible_constraint_exits_2(tmp_path):
     ("solver", "descent_max_iter", 4000),
     ("solver", "newton_max_iter", 60),
     ("solver", "max_restarts", 3),
+    ("solver", "cert_tol", 1e-6),
 ])
 def test_invalid_solve_values_exit_2_before_writing(tmp_path, capsys,
                                                     section, key, value):

@@ -578,3 +578,78 @@ def test_sphere_crossing_the_cone_with_nu2_raises(p):
     assert _sphere_g1_floor(_SubspaceEval.of_candidate(ctx, cand)) == 0.0
     with pytest.raises(InfeasibleSubspace):
         sup_on_sphere(ctx, cand, seed=0)
+
+
+def test_nan_residual_is_unresolved(monkeypatch):
+    # the one certification rule fails a NaN residual on the general-p
+    # path as on the p = 2 path
+    import plapopt.spectrum as spectrum_mod
+
+    real_polish = spectrum_mod.polish_eigenpair
+
+    def nan_polish(ctx, u):
+        lam, field, _ = real_polish(ctx, u)
+        return lam, field, math.nan
+
+    monkeypatch.setattr(spectrum_mod, "polish_eigenpair", nan_polish)
+    result = eigen_minimax(plain_ctx(16, p=3.0), 1, seed=0, options=FAST)
+    assert result.statuses == ["unresolved"]
+    assert math.isnan(result.residuals[0])
+
+
+def test_a_level_tries_each_initial_subspace_once(monkeypatch):
+    # the p = 2 pencil gives m seed fields; with every sphere infeasible
+    # the level tries the seed once and then fully random bases
+    import plapopt.spectrum as spectrum_mod
+
+    bases = []
+
+    def infeasible(ctx, candidate, **kwargs):
+        bases.append(candidate.matrix())
+        raise InfeasibleSubspace("patched")
+
+    monkeypatch.setattr(spectrum_mod, "sup_on_sphere", infeasible)
+    ctx = plain_ctx(16, p=3.0)
+    assert len(spectrum_mod._pencil_positive_eigs(
+        spectrum_mod._p2_context(ctx), 2)[1]) == 2
+    result = eigen_minimax(ctx, 2, seed=0, options=FAST)
+    assert result.statuses == ["infeasible"] * 2
+    assert len(bases) == spectrum_mod.MAX_RESTARTS
+    for i in range(len(bases)):
+        for j in range(i):
+            assert not np.array_equal(bases[i], bases[j]), (i, j)
+
+
+def atom_only_ctx(node):
+    # 2D, p = 3, zero measure, nu1 one atom of mass 1, nu2 = 0
+    g = GridSpec(2, 8, (1.0, 1.0), 3.0)
+    return EnergyContext(g, zero_measure(g),
+                         WeightPair(g, 0.0, ((node, 1.0),), 0.0))
+
+
+@pytest.mark.parametrize("node", [24, 40])
+def test_atom_only_nu1_in_2d_is_seeded_by_probes(node):
+    # a 2D nu1 made only of atoms has no p = 2 counterpart (atoms need
+    # p > dim), so the probes seed level 1
+    result = eigen_minimax(atom_only_ctx(node), 1, seed=0, options=FAST)
+    assert result.statuses != ["infeasible"]
+    assert math.isfinite(result.lambdas[0]) and result.lambdas[0] > 0
+
+
+@pytest.mark.xfail(strict=True, reason="the polish starts from a field "
+                   "flat on whole cells, where its p = 3 Newton matrix is "
+                   "singular, and stops with residual 16.7")
+def test_atom_only_nu1_off_centre_is_certified():
+    result = eigen_minimax(atom_only_ctx(40), 1, seed=0, options=FAST)
+    assert result.statuses == ["finite"]
+
+
+def test_pencil_errors_propagate_from_the_general_p_seed(monkeypatch):
+    import plapopt.spectrum as spectrum_mod
+
+    def broken(ctx, m_max):
+        raise RuntimeError("pencil failed")
+
+    monkeypatch.setattr(spectrum_mod, "_pencil_positive_eigs", broken)
+    with pytest.raises(RuntimeError, match="pencil failed"):
+        eigen_minimax(plain_ctx(16, p=3.0), 2, seed=0, options=FAST)
