@@ -120,10 +120,6 @@ class Field:
         return float(integrate(self.grid, np.abs(cells) ** p) ** (1.0 / p))
 
 
-def zero_field(grid: GridSpec) -> Field:
-    return Field(grid, np.zeros(grid.nodes_shape))
-
-
 def field_from_function(grid: GridSpec, fn) -> Field:
     """Sample a callable of the coordinates at the interior nodes."""
     coords = grid.node_coords()

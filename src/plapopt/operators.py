@@ -169,6 +169,27 @@ def _embed(grid: GridSpec, idx: np.ndarray, x: np.ndarray) -> Field:
     return Field(grid, values)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _p2_terms(grid: GridSpec, mu_atoms: Atoms, w1_atoms: Atoms):
+    """Pattern (indptr, indices) of K^T diag(w) K on all interior nodes and
+    its terms: row r of K adds per_row[r] terms ki * (w[r] * kj), ki = K[r, i]
+    and kj = K[r, j], to the entries e = (i, j), as K^T (W K) does, bitwise."""
+    K = energy_map(grid, mu_atoms, w1_atoms)
+    n, c = K.shape[1], np.diff(K.indptr)
+    r = np.repeat(np.arange(K.shape[0]), c * c)
+    # term s of row r pairs the row's stored entries s // c and s % c
+    s = np.arange(r.size) - np.repeat(np.cumsum(c * c) - c * c, c * c)
+    a, b = K.indptr[r] + s // c[r], K.indptr[r] + s % c[r]
+    keys, e = np.unique(K.indices[a] * np.int64(n) + K.indices[b],
+                        return_inverse=True)
+    terms = (np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32),
+             (keys % n).astype(np.int32), e.astype(np.int32), c * c,
+             K.data[a], K.data[b])
+    for arr in terms:
+        arr.setflags(write=False)
+    return terms
+
+
 def p2_matrices(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair,
                 free: np.ndarray | None = None):
     """Stiffness/weight pencil of the quadratic (p=2) energies.
@@ -177,13 +198,21 @@ def p2_matrices(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair,
     u^T A u = 2 f_mu(u) and u^T B u = 2 (g1 - g2)(u) for p = 2: the
     Hessians of f and of g1 - g2, whose p = 2 weights do not depend on u.
     """
-    if free is None:
-        free = free_node_mask(grid, mu)
-    idx = np.flatnonzero(free)
+    idx = np.flatnonzero(free_node_mask(grid, mu) if free is None else free)
     rows = energy_rows(grid, mu, weights)
-    KF = energy_map(grid, mu.atoms, weights.w1_atoms)[:, idx]
-    diag = lambda hcell, c: sp.diags(
-        hessian_diagonal(grid.dim, hcell, c, 1.0, 2.0), format="csr")
-    A = sandwich(KF, diag(rows.vol * rows.keep, rows.f))
-    B = sandwich(KF[rows.n_grad:], diag(None, rows.g1 - rows.g2))
-    return A.tocsc(), B.tocsc(), idx
+    indptr, indices, e, per_row, ki, kj = _p2_terms(grid, mu.atoms,
+                                                    weights.w1_atoms)
+
+    def assemble(w, first_row):    # w weighs K's rows from first_row on
+        lo = per_row[:first_row].sum()
+        x = ki[lo:] * (np.repeat(w, per_row[first_row:]) * kj[lo:])
+        data = np.bincount(e[lo:], x, indices.size)
+        M = sp.csr_matrix((data, indices, indptr), shape=(grid.n_nodes,) * 2)
+        # a copy either way, so that eliminate_zeros spares the cache
+        M = M[idx][:, idx] if idx.size < grid.n_nodes else M.copy()
+        M.eliminate_zeros()
+        return M.tocsc()
+
+    diag = lambda hcell, c: hessian_diagonal(grid.dim, hcell, c, 1.0, 2.0)
+    return (assemble(diag(rows.vol * rows.keep, rows.f), 0),
+            assemble(diag(None, rows.g1 - rows.g2), rows.n_grad), idx)

@@ -143,6 +143,8 @@ class SolverOptions:
 def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
     """Positive pencil directions: lambda_m = 1 / beta_m with beta the
     m-th largest positive eigenvalue of B u = beta A u on free nodes.
+    A and B come from the cached p = 2 pattern.  Above DENSE_DOF_LIMIT one
+    Lanczos call solves the pencil, every step on one minimum-degree LU of A.
     Returns (lambdas, fields, complete); complete is False when the Lanczos
     iteration left requested pairs unconverged (the converged ones are
     kept), so missing levels are unknown rather than absent."""
@@ -161,10 +163,13 @@ def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
         beta, U = sla.eigh(B.toarray(), A.toarray())    # U^T A U = I
     else:
         # A is SPD (Dirichlet), so the mode M = A holds for every sign of
-        # B; the fixed v0 keeps reruns bit-identical
+        # B; MMD fills less than COLAMD; the fixed v0 keeps reruns identical
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        Minv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
         try:
-            beta, U = spla.eigsh(B, k=min(m_max, n - 1), M=A, which="LA",
-                                 v0=np.full(n, 1.0 / math.sqrt(n)), tol=0)
+            beta, U = spla.eigsh(B, k=min(m_max, n - 1), M=A, Minv=Minv,
+                                 which="LA", tol=0,
+                                 v0=np.full(n, 1.0 / math.sqrt(n)))
         except spla.ArpackNoConvergence as err:
             beta, U, complete = err.eigenvalues, err.eigenvectors, False
     order = np.argsort(-beta)

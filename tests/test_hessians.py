@@ -3,6 +3,7 @@ and the p = 2 pencil against its definition."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from plapopt.grid import GridSpec, Field
@@ -10,6 +11,7 @@ from plapopt.measure import CapacitaryMeasure, WeightPair
 from plapopt.energy import (EnergyContext, _energy_map, energy_gradient,
                             f_energy, g_energy, g_gradient)
 from plapopt.hessians import assemble, hessian_f, hessian_g_diff
+from plapopt import operators
 from plapopt.operators import free_node_mask, p2_matrices
 from oracles import dense_pencil_1d
 
@@ -117,3 +119,51 @@ def test_p2_pencil_gives_twice_the_energies_2d():
         scale = g_energy(ctx, u, 1) + g_energy(ctx, u, 2)
         assert abs(x @ (A @ x) - 2.0 * f) <= 1e-12 * f
         assert abs(x @ (B @ x) - 2.0 * gdiff) <= 1e-12 * scale
+
+
+def _sandwich_pencil(g, mu, weights):
+    """A and B as K_F^T W K_F from the sparse product, the p = 2 weights
+    laid out by hessian_diagonal."""
+    idx = np.flatnonzero(free_node_mask(g, mu))
+    rows = operators.energy_rows(g, mu, weights)
+    KF = operators.energy_map(g, mu.atoms, weights.w1_atoms)[:, idx]
+    W = lambda hcell, c: sp.diags(
+        operators.hessian_diagonal(g.dim, hcell, c, 1.0, 2.0))
+    return (operators.sandwich(KF, W(rows.vol * rows.keep, rows.f)),
+            operators.sandwich(KF[rows.n_grad:],
+                               W(None, rows.g1 - rows.g2)))
+
+
+def _canonical(M):
+    M = M.tocsr(copy=True)
+    M.sort_indices()
+    return M
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_p2_pencil_is_the_sparse_product_bit_for_bit(dim):
+    # the cached term list sums in the order of K_F^T (W K_F): same
+    # pattern, same bits, with atoms, blocked cells, a non-power-of-two
+    # spacing and (2D) a weight pair that changes sign
+    rng = np.random.default_rng(13)
+    if dim == 1:
+        g = GridSpec(1, 40, (1.3,), 3.0)
+        atoms, w1_atoms, w2 = ((3, 0.7), (21, 0.2)), ((30, 0.4),), 0.0
+    else:
+        g = GridSpec(2, 20, (1.0, 1.3), 2.0)
+        atoms, w1_atoms = (), ()
+        w2 = 1.5 * rng.random(g.cells_shape)
+    blocked = rng.random(g.cells_shape) < 0.1
+    mu = CapacitaryMeasure(g, 2.0 * rng.random(g.cells_shape), blocked,
+                           atoms)
+    weights = WeightPair(g, rng.random(g.cells_shape), w1_atoms, w2)
+    A, B, idx = p2_matrices(g, mu, weights)
+    assert idx.size < g.n_nodes
+    for M, ref in zip((A, B), _sandwich_pencil(g, mu, weights)):
+        M, ref = _canonical(M), _canonical(ref)
+        assert np.array_equal(M.indptr, ref.indptr)
+        assert np.array_equal(M.indices, ref.indices)
+        assert M.data.tobytes() == ref.data.tobytes()
+    # the pattern is shared by every later call: read-only
+    terms = operators._p2_terms(g, mu.atoms, weights.w1_atoms)
+    assert not any(arr.flags.writeable for arr in terms)

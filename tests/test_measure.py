@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plapopt.grid import GridSpec, integrate
 from plapopt.measure import (
@@ -120,6 +121,62 @@ def test_add_dominates():
         m2 = random_measure(g, rng)
         s = add(m1, m2)
         assert leq(m1, s) and leq(m2, s)
+
+
+# measures on one grid for the property tests; densities and atom masses
+# are multiples of 1/4 below 4, so sums of three are exact and the order
+# laws hold bit for bit, not only up to rounding
+PROPERTY_GRID = grid1(p=3.0)
+laws = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+@st.composite
+def measures(draw):
+    g = PROPERTY_GRID
+    quarters = st.integers(0, 15)
+    density = draw(st.lists(quarters, min_size=g.n_cells,
+                            max_size=g.n_cells))
+    blocked = draw(st.lists(st.booleans(), min_size=g.n_cells,
+                            max_size=g.n_cells))
+    atoms = draw(st.lists(st.tuples(st.integers(0, g.n_nodes - 1),
+                                    st.integers(1, 15)), max_size=3))
+    return CapacitaryMeasure(g, np.array(density) / 4.0, np.array(blocked),
+                             tuple((node, q / 4.0) for node, q in atoms))
+
+
+@laws
+@given(measures(), measures(), measures())
+def test_add_is_commutative_and_associative(a, b, c):
+    assert add(a, b) == add(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+
+
+@laws
+@given(measures())
+def test_zero_measure_is_neutral_for_add(m):
+    zero = zero_measure(PROPERTY_GRID)
+    assert add(m, zero) == m
+    assert add(zero, m) == m
+
+
+@laws
+@given(measures(), measures(), measures())
+def test_leq_is_a_partial_order(a, b, c):
+    assert leq(a, a)
+    if leq(a, b) and leq(b, c):
+        assert leq(a, c)
+    if leq(a, b) and leq(b, a):
+        assert a == b
+    # a chain that holds by construction, so the law is always exercised
+    ab = add(a, b)
+    abc = add(ab, c)
+    assert leq(a, ab) and leq(ab, abc) and leq(a, abc)
+
+
+@laws
+@given(measures(), measures())
+def test_a_measure_is_below_its_sum_with_another(m1, m2):
+    assert leq(m1, add(m1, m2))
 
 
 def test_atoms_require_p_greater_than_dim():

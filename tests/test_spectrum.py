@@ -303,6 +303,35 @@ def test_dense_and_sparse_pencil_paths_agree(monkeypatch):
                                 rel_tol=1e-9)
 
 
+def test_sparse_pencil_factors_a_once_and_reruns_bit_identically(
+        monkeypatch):
+    # above the dense limit one minimum-degree LU of A serves every Lanczos
+    # step: ARPACK must not factor A again, and two runs coincide bit for
+    # bit on a sign-changing pencil
+    import plapopt.spectrum as spectrum_mod
+    from scipy.sparse.linalg._dsolve import _superlu
+
+    orderings = []
+    real_gstrf = _superlu.gstrf
+
+    def counted_gstrf(*args, **kwargs):
+        orderings.append(kwargs["options"]["ColPerm"])
+        return real_gstrf(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum_mod, "DENSE_DOF_LIMIT", 10)
+    monkeypatch.setattr(_superlu, "gstrf", counted_gstrf)
+    ctx = _pencil_cases(24)["sign-changing"]
+    first = eigen_minimax(ctx, 4, seed=0)
+    assert orderings == ["MMD_AT_PLUS_A"]
+    second = eigen_minimax(ctx, 4, seed=0)
+    assert orderings == ["MMD_AT_PLUS_A"] * 2
+    assert first.statuses == ["finite"] * 4
+    assert [repr(lam) for lam in first.lambdas] == [
+        repr(lam) for lam in second.lambdas]
+    for u, v in zip(first.eigenfields, second.eigenfields):
+        assert u.values.tobytes() == v.values.tobytes()
+
+
 def test_pencil_without_positive_weight_is_infeasible_on_both_paths(
         monkeypatch):
     # B = 0 (w1 = w2) and B < 0 (w2 > w1) above the dense limit: the
