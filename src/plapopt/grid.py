@@ -10,6 +10,7 @@ rule.  Both conventions keep |grad u|^p and |u|^p convex in the node values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +49,9 @@ class GridSpec:
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / self.n for L in self.lengths)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
+        # kept in the instance dict, outside the fields that eq and hash see
         return float(np.prod(self.spacing))
 
     @property

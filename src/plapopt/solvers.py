@@ -128,6 +128,7 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
                     warnings.simplefilter("ignore",
                                           spla.MatrixRankWarning)
                     d = spla.spsolve(
+                        H if lm == 0.0 else
                         H + lm * dscale * sp.identity(H.shape[0]), -g)
             except Exception:
                 d = None

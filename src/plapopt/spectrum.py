@@ -548,14 +548,16 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
     rows = ctx._rows
     idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
     ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
+    # v @ KM transposes KM on every call; KM.T @ v is the same product
+    KM_t, KM_meas_t = ev.KM.T, ev.KM_meas.T
     u = _normalize(ctx, u)
     lam = rayleigh(ctx, u)
 
     def system(parts, lam: float):
         """Eigen-equation residual on the free nodes, g1 - g2, g1 and
         the gradient of g1 - g2 from the kernel parts at x."""
-        gdiff = (parts.dg1 - parts.dg2) @ ev.KM_meas
-        return (parts.df @ ev.KM - lam * gdiff, parts.g1 - parts.g2,
+        gdiff = KM_meas_t @ (parts.dg1 - parts.dg2)
+        return (KM_t @ parts.df - lam * gdiff, parts.g1 - parts.g2,
                 parts.g1, gdiff)
 
     x = u.flat[idx]
@@ -696,11 +698,22 @@ def _spectral_result(levels: list[tuple], m_max: int,
     return SpectralResult(*(list(column) for column in zip(*levels)))
 
 
+def _positive_peak(u: Field) -> Field:
+    """u or -u, whichever has its first entry of largest magnitude
+    positive: the eigensolver's sign is arbitrary.  0.0 - x, not -x,
+    so that the nodes where u vanishes keep +0.0."""
+    flat = u.flat
+    if flat[np.argmax(np.abs(flat))] > 0:
+        return u
+    return Field(u.grid, 0.0 - u.values)
+
+
 def _eigen_minimax_p2(ctx: EnergyContext, m_max: int) -> SpectralResult:
     lams, vecs, complete = _pencil_positive_eigs(ctx, m_max)
     levels = []
     for lam, v in zip(lams, vecs):
-        u = _normalize(ctx, v)
+        # f, g1 and g2 are even, so the flip moves no lambda or residual
+        u = _positive_peak(_normalize(ctx, v))
         lam = float(lam)
         res = residual(ctx, u, lam)
         status = FINITE if _certified(ctx, u, lam, res) else UNRESOLVED

@@ -102,6 +102,8 @@ def _bb_then_newton(ctx, idx, x0, extra, extra_hessian=None, *,
     """
     grid = ctx.grid
     K = _energy_map(ctx)[:, idx]
+    # built once: K.T would build a new csc transpose on every evaluation
+    KT = K.T
 
     def make_stage(eps):
         ctx_e = ctx if eps is None else replace(ctx, eps_reg=eps)
@@ -110,7 +112,7 @@ def _bb_then_newton(ctx, idx, x0, extra, extra_hessian=None, *,
             parts = _kernel(ctx_e, K @ x, ctx_e.eps_reg,
                             smooth_f=eps is not None)
             value, grad = extra(x)
-            return parts.f + value, K.T @ parts.df + grad
+            return parts.f + value, KT @ parts.df + grad
 
         def hess(x):
             H = hessians.hessian_f(ctx_e, _embed(grid, idx, x), idx)
@@ -192,6 +194,7 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
     p = grid.p
     vol = grid.cell_volume
     anchor = operators.anchor_op(grid)[:, idx]
+    anchor_t = anchor.T
     bflat = bcells.reshape(-1)
     zfree = z.flat[idx]
 
@@ -207,7 +210,7 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
     def fidelity(x):
         diff = anchor @ x - z_anchor
         return ((k / p) * vol * float(bflat @ np.abs(diff) ** p),
-                k * vol * (anchor.T @ (bflat * _odd(diff, p))))
+                k * vol * (anchor_t @ (bflat * _odd(diff, p))))
 
     def fidelity_hessian(x):
         hmeas = abs_pow(anchor @ x - z_anchor, p - 2.0)

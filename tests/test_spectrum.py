@@ -182,6 +182,30 @@ def test_eigen_minimax_2d_square():
         2e-2 * result.lambdas[1]
 
 
+def test_p2_eigenfields_do_not_carry_the_eigensolver_sign(monkeypatch):
+    # the pencil's sign of each vector is arbitrary and f, g1, g2 are even:
+    # every field comes back with its first peak positive, so a solver
+    # that returns -v moves no lambda, residual, status or field value
+    import plapopt.spectrum as spectrum_mod
+    ctx = plain_ctx(16, dim=2)
+    result = eigen_minimax(ctx, 4, seed=0)
+    real = spectrum_mod._pencil_positive_eigs
+
+    def negated(ctx, m_max):
+        lams, vecs, complete = real(ctx, m_max)
+        return lams, [Field(v.grid, -v.values) for v in vecs], complete
+
+    monkeypatch.setattr(spectrum_mod, "_pencil_positive_eigs", negated)
+    flipped = eigen_minimax(ctx, 4, seed=0)
+    assert result.statuses == flipped.statuses == ["finite"] * 4
+    assert [repr(lam) for lam in result.lambdas] == [
+        repr(lam) for lam in flipped.lambdas]
+    assert result.residuals == flipped.residuals
+    for u, v in zip(result.eigenfields, flipped.eigenfields):
+        assert u.flat[np.argmax(np.abs(u.flat))] > 0
+        assert np.array_equal(u.values, v.values)
+
+
 def test_eigen_minimax_dirac_levels():
     g = GridSpec(1, 64, (2.0,), 3.0)
     w = WeightPair(g, 0.0, ((g.n // 2 - 1, 1.0),))
