@@ -9,7 +9,8 @@ The operators are built once per grid (and atom set) and cached; every
 caller shares them, so their arrays are marked read-only.  The stacked
 energy map K fixes the row layout that the energies integrate over; the
 weights of f, g1 and g2 on its rows, the diagonal of their Hessian
-weights and the product K_F^T W K_F on the free nodes live here with it.
+weights and the product K_F^T W K_F on the free nodes (a sparse product,
+or a term list into band storage) live here with it.
 """
 
 from __future__ import annotations
@@ -150,6 +151,54 @@ def sandwich(KF: sp.csr_matrix, W: sp.spmatrix) -> sp.csr_matrix:
     """K_F^T W K_F: the second derivative in the free-node values x of an
     energy of y = K_F x whose Hessian in y is W."""
     return KF.T @ (W @ KF)
+
+
+class BandTerms(NamedTuple):
+    """K_F^T W K_F in LAPACK upper band storage, as a list of terms.
+
+    Term t adds kk[t] * weights[w[t]], a product K_F[r, i] W[r, s]
+    K_F[s, j] with i <= j, to entry slot[t] of the flat band: row
+    bw + i - j, column j of a (bw + 1, n) array over the n free nodes, as
+    scipy.linalg.cholesky_banded reads it.  Every row of K touches the
+    nodes of one cell, so on the free nodes in C order the half-bandwidth
+    bw is below the cells per axis: the band holds n (bw + 1) numbers
+    where a dense Hessian would hold n^2.
+    """
+
+    bw: int
+    n: int
+    slot: np.ndarray
+    w: np.ndarray
+    kk: np.ndarray
+
+    def band(self, weights: np.ndarray) -> np.ndarray:
+        """The upper band of K_F^T W K_F for W's values on its pattern."""
+        data = np.bincount(self.slot, self.kk * weights[self.w],
+                           (self.bw + 1) * self.n)
+        return data.reshape(self.bw + 1, self.n)
+
+
+def band_terms(KF: sp.csr_matrix, r: np.ndarray,
+               s: np.ndarray) -> BandTerms:
+    """The terms of K_F^T W K_F for W with the pattern (r, s).
+
+    Every pair of stored entries K_F[r, i], K_F[s, j] of a pattern entry
+    (r, s) is a term; those with i > j are left to the symmetric half.
+    """
+    nnz = np.diff(KF.indptr)
+    cr, cs = nnz[r], nnz[s]
+    per = cr * cs
+    w = np.repeat(np.arange(r.size), per)
+    # term t of pattern entry w pairs the rows' stored entries t // cs, t % cs
+    t = np.arange(w.size) - np.repeat(np.cumsum(per) - per, per)
+    a, b = KF.indptr[r[w]] + t // cs[w], KF.indptr[s[w]] + t % cs[w]
+    i, j = KF.indices[a].astype(np.int64), KF.indices[b].astype(np.int64)
+    upper = i <= j
+    i, j, w = i[upper], j[upper], w[upper]
+    bw = int((j - i).max(initial=0))
+    n = KF.shape[1]
+    return BandTerms(bw, n, (bw + i - j) * n + j, w,
+                     KF.data[a[upper]] * KF.data[b[upper]])
 
 
 def free_node_mask(grid: GridSpec, mu: CapacitaryMeasure) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Shared unconstrained minimization loop for the convex solvers.
+"""Shared unconstrained minimization loops for the convex solvers.
 
-Barzilai-Borwein trial steps safeguarded by monotone Armijo backtracking.
-Callers work on flat vectors over their free degrees of freedom; the
-objective may return +inf outside an implicit domain, the line search then
-backtracks.
+bb_minimize takes Barzilai-Borwein trial steps safeguarded by monotone
+Armijo backtracking; newton_refine finishes with damped Newton steps on a
+Hessian in banded form.  Callers work on flat vectors over their free
+degrees of freedom; the objective may return +inf outside an implicit
+domain, the line search then backtracks.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg as sla
 
 
 def bb_minimize(x0: np.ndarray, value_and_grad, *,
@@ -95,16 +97,16 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
                   grad_scale: float = 1.0):
     """Damped Newton with Levenberg shifts for a convex objective.
 
-    ``hessian(x)`` returns a sparse psd matrix; singular directions are
-    handled by growing a diagonal shift until the step descends.  Used to
-    finish first-order iterates off the slow tail of degenerate (p != 2)
+    ``hessian(x)`` returns the Hessian in LAPACK upper band storage: an
+    (bw + 1, n) array whose entry [bw + i - j, j] is H[i, j] for
+    j - bw <= i <= j, so its last row is the diagonal (the layout of
+    scipy.linalg.cholesky_banded).  Each try costs a banded Cholesky
+    factorization, n bw^2 operations in n (bw + 1) memory.  A Hessian
+    that is not positive definite, or a step that does not descend, grows
+    a shift of the diagonal until the step descends.  Used to finish
+    first-order iterates off the slow tail of degenerate (p != 2)
     problems.
     """
-    import warnings
-
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     if grad_norm is None:
         grad_norm = lambda g: float(np.linalg.norm(g))
     x = np.asarray(x0, dtype=float).copy()
@@ -119,18 +121,18 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
         if gn <= tol_grad * scale and decrement <= tol_decrement:
             return x, _info(it - 1, min(decrement, tol_decrement), True,
                             f, gn)
-        H = hessian(x).tocsc()
-        dscale = max(float(np.abs(H.diagonal()).max()), 1e-300)
+        band = hessian(x)
+        dscale = max(float(np.abs(band[-1]).max()), 1e-300)
         accepted = False
         for _ in range(25):
+            shifted = band.copy()
+            shifted[-1] += lm * dscale
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore",
-                                          spla.MatrixRankWarning)
-                    d = spla.spsolve(
-                        H if lm == 0.0 else
-                        H + lm * dscale * sp.identity(H.shape[0]), -g)
-            except Exception:
+                factor = sla.cholesky_banded(shifted, overwrite_ab=True,
+                                             check_finite=False)
+                d = sla.cho_solve_banded((factor, False), -g,
+                                         check_finite=False)
+            except np.linalg.LinAlgError:
                 d = None
             if d is not None and np.all(np.isfinite(d)):
                 gd = float(np.dot(g, d))

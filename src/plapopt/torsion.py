@@ -86,24 +86,29 @@ def torsion(mu: CapacitaryMeasure) -> tuple[Field, SolveReport]:
         info["iterations"], info["final_decrement"], info["converged"])
 
 
-def _bb_then_newton(ctx, idx, x0, extra, extra_hessian=None, *,
+def _bb_then_newton(ctx, idx, x0, extra, anchor_hessian=None, *,
                     grad_scale):
     """Minimize f_mu plus an extra term over the free-node values x.
 
     ``extra(x)`` returns the value and gradient of the extra term,
-    ``extra_hessian(x)`` its Hessian (None: the term is linear).  The
-    descent runs a BB stage, then Newton through a smoothing
-    continuation: |grad|^2 + eps inside the (p-2)/2 power, consistently in
-    value, gradient and Hessian, so each stage is a smooth convex problem
-    that Newton finishes quadratically.  eps = None is the target: the
-    exact value of f_mu, with the context's eps_reg in its gradient and
-    Hessian.  For p >= 2 the gradient is already C^1 and the continuation
-    is skipped.
+    ``anchor_hessian(x)`` its Hessian as weights on the cell anchor values
+    (None: the term is linear).  The descent runs a BB stage, then Newton
+    through a smoothing continuation: |grad|^2 + eps inside the (p-2)/2
+    power, consistently in value, gradient and Hessian, so each stage is a
+    smooth convex problem that Newton finishes quadratically.  eps = None
+    is the target: the exact value of f_mu, with the context's eps_reg in
+    its gradient and Hessian.  For p >= 2 the gradient is already C^1 and
+    the continuation is skipped.  Every Newton step sums its Hessian into
+    band storage through one term list (operators.band_terms).
     """
     grid = ctx.grid
+    rows = ctx._rows
     K = _energy_map(ctx)[:, idx]
     # built once: K.T would build a new csc transpose on every evaluation
     KT = K.T
+    terms = operators.band_terms(K, *hessians.pattern(ctx, K.shape[0]))
+    # K's anchor rows are anchor_op's: the extra term's weights go there
+    anchors = slice(rows.n_grad, rows.n_grad + grid.n_cells)
 
     def make_stage(eps):
         ctx_e = ctx if eps is None else replace(ctx, eps_reg=eps)
@@ -115,8 +120,10 @@ def _bb_then_newton(ctx, idx, x0, extra, extra_hessian=None, *,
             return parts.f + value, KT @ parts.df + grad
 
         def hess(x):
-            H = hessians.hessian_f(ctx_e, _embed(grid, idx, x), idx)
-            return H if extra_hessian is None else H + extra_hessian(x)
+            _, w = hessians.weights(ctx_e, K @ x, rows.f)
+            if anchor_hessian is not None:
+                w[anchors] += anchor_hessian(x)
+            return terms.band(w)
 
         return value_and_grad, hess
 
@@ -214,8 +221,8 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
 
     def fidelity_hessian(x):
         hmeas = abs_pow(anchor @ x - z_anchor, p - 2.0)
-        return operators.sandwich(anchor, sp.diags(operators.hessian_diagonal(
-            grid.dim, None, k * vol * bflat, hmeas, p)))
+        return operators.hessian_diagonal(grid.dim, None, k * vol * bflat,
+                                          hmeas, p)
 
     x, info = _bb_then_newton(
         ctx, idx, zfree, fidelity, fidelity_hessian,

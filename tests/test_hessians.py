@@ -1,5 +1,9 @@
 """Sparse Hessians against central differences of the energy gradients,
-and the p = 2 pencil against its definition."""
+the banded Newton Hessians of the convex solves against them, and the
+p = 2 pencil against its definition."""
+
+import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +12,15 @@ import scipy.sparse.linalg as spla
 
 from plapopt.grid import GridSpec, Field
 from plapopt.measure import CapacitaryMeasure, WeightPair
-from plapopt.energy import (EnergyContext, _energy_map, energy_gradient,
-                            f_energy, g_energy, g_gradient)
+from plapopt.energy import (EnergyContext, _energy_map, abs_pow,
+                            energy_gradient, f_energy, g_energy, g_gradient)
 from plapopt.hessians import assemble, hessian_f, hessian_g_diff
-from plapopt import operators
+from plapopt import hessians, operators
 from plapopt.operators import free_node_mask, p2_matrices
 from oracles import dense_pencil_1d
+
+# the package re-exports the function torsion under its module's name
+torsion = importlib.import_module("plapopt.torsion")
 
 STEP = 1e-5
 RTOL = 1e-7
@@ -76,6 +83,81 @@ def test_hessians_match_gradient_differences(dim, n, p):
                     rows.f - lam * (rows.g1 - rows.g2))
     ref = hessian_f(ctx, u, free) - lam * hessian_g_diff(ctx, u, free)
     assert spla.norm(H - ref) <= 1e-12 * spla.norm(ref)
+
+
+def _from_band(band):
+    """The symmetric matrix whose upper band LAPACK stores in band."""
+    bw, n = band.shape[0] - 1, band.shape[1]
+    H = np.zeros((n, n))
+    for k in range(bw + 1):
+        d = bw - k                  # row k holds superdiagonal d
+        assert not band[k, :d].any(), "the unused corner must stay zero"
+        H[np.arange(n - d), np.arange(d, n)] = band[k, d:]
+    return H + np.triu(H, 1).T
+
+
+def _assert_band_is(band, ref):
+    ref = ref.toarray()
+    err = np.abs(_from_band(band) - ref).max()
+    assert err <= 1e-14 * np.abs(ref).max(), err / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dim,n", [(1, 12), (2, 8)])
+def test_band_terms_give_the_hessian_of_f(dim, n, p):
+    # a blocked cell in both dimensions, mu and nu1 atoms where p > dim
+    ctx, free, values, _ = _problem(dim, n, p, seed=7)
+    K = _energy_map(ctx)
+    terms = operators.band_terms(K[:, free],
+                                 *hessians.pattern(ctx, K.shape[0]))
+    assert terms.bw < n and terms.n == free.size
+    stages = [ctx]
+    if p < 2.0:     # a smoothing stage of the p < 2 continuation
+        stages.append(replace(ctx, eps_reg=1e-2 * min(ctx.grid.spacing) ** 2))
+    for ctx_e in stages:
+        _, w = hessians.weights(ctx_e, K @ values, ctx._rows.f)
+        _assert_band_is(terms.band(w),
+                        hessian_f(ctx_e, Field(ctx.grid, values), free))
+
+
+def _newton_hessians(monkeypatch, solve):
+    """Run a solve and keep (x, hessian) of every newton_refine stage."""
+    stages = []
+    refine = torsion.newton_refine
+
+    def recording(x0, value_and_grad, hessian, **kwargs):
+        stages.append((np.array(x0), hessian))
+        return refine(x0, value_and_grad, hessian, **kwargs)
+
+    monkeypatch.setattr(torsion, "newton_refine", recording)
+    assert solve()[1].converged
+    return stages
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("dim,n", [(1, 12), (2, 8)])
+def test_prox_band_is_f_plus_the_fidelity_hessian(monkeypatch, dim, n, p):
+    # the fidelity Hessian rides on the anchor-row weights of the band
+    ctx, free, _, _ = _problem(dim, n, p, seed=8)
+    g, mu = ctx.grid, ctx.mu
+    rng = np.random.default_rng(8)
+    z = Field(g, rng.standard_normal(g.n_nodes))   # nonzero off free too
+    k, b = 10.0, 0.5 + rng.random(g.n_cells)
+    stages = _newton_hessians(monkeypatch,
+                              lambda: torsion.prox(z, k, mu, b))
+    anchor = operators.anchor_op(g)
+    tctx = torsion._torsion_context(mu)
+    h2 = min(g.spacing) ** 2
+    # the first stage smooths with eps = 1e-2 h^2 at p < 2, the last is exact
+    checked = [(stages[0], 1e-2 * h2 if p < 2.0 else None), (stages[-1], None)]
+    for (x, hessian), eps in checked:
+        ctx_e = tctx if eps is None else replace(tctx, eps_reg=eps)
+        diag = operators.hessian_diagonal(
+            g.dim, None, k * g.cell_volume * b,
+            abs_pow(anchor[:, free] @ x - anchor @ z.flat, p - 2.0), p)
+        ref = hessian_f(ctx_e, operators._embed(g, free, x), free) \
+            + operators.sandwich(anchor[:, free], sp.diags(diag))
+        _assert_band_is(hessian(x), ref)
 
 
 def test_p2_pencil_matches_dense_oracle_1d():

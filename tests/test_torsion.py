@@ -1,8 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from plapopt.gamma import blocked_limit_sequence
 from plapopt.grid import GridSpec, Field, field_from_function
@@ -19,6 +21,11 @@ from plapopt import operators
 from oracles import dense_pencil_1d
 
 import scipy.linalg as sla
+
+from plapopt import hessians
+
+# the package re-exports the function torsion under its module's name
+torsion_module = importlib.import_module("plapopt.torsion")
 
 
 def test_torsion_1d_parabola():
@@ -182,6 +189,57 @@ def test_convex_solves_build_their_transposes_once(monkeypatch):
     _, rep = prox(z, 10.0, mu)
     assert rep.converged
     assert len(calls) <= 10
+
+
+def test_newton_steps_take_banded_hessians_from_one_term_list(monkeypatch):
+    # every Newton step sums its Hessian into LAPACK band storage through
+    # the term list of its solve: no sparse Hessian, no SuperLU, no n x n
+    def counted(module, name, calls):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    calls, shapes = [], []
+    for module, name in ((spla, "spsolve"), (hessians, "hessian_f"),
+                         (operators, "band_terms"),
+                         (torsion_module, "_bb_then_newton")):
+        counted(module, name, calls)
+    refine = torsion_module.newton_refine
+
+    def refine_recording(x0, value_and_grad, hessian, **kwargs):
+        def banded(x):
+            band = hessian(x)
+            shapes.append(band.shape)
+            return band
+
+        start = len(calls)
+        out = refine(x0, value_and_grad, banded, **kwargs)
+        assert calls[start:] == [], "a sparse solve inside newton_refine"
+        return out
+
+    monkeypatch.setattr(torsion_module, "newton_refine", refine_recording)
+    rng = np.random.default_rng(0)
+    for p, solve in ((3.0, torsion), (1.5, torsion),
+                     (3.0, lambda mu: prox(z, 10.0, mu))):
+        g = GridSpec(2, 12, (1.0, 1.0), p)
+        mu = from_potential(g, rng.uniform(0.0, 3.0, g.n_cells))
+        z = field_from_function(g, lambda x, y: np.sin(math.pi * x)
+                                * np.sin(math.pi * y))
+        n_free = int(operators.free_node_mask(g, mu).sum())
+        calls.clear()
+        shapes.clear()
+        _, rep = solve(mu)
+        assert rep.converged
+        assert "hessian_f" not in calls
+        assert calls.count("band_terms") == 1
+        assert calls.count("_bb_then_newton") == 1
+        assert shapes, "no Newton step taken"
+        for rows, cols in shapes:
+            assert cols == n_free and rows - 1 < g.n
 
 
 @pytest.mark.xfail(strict=True, reason="p = 1.5 torsion of the s = 1e3 "
