@@ -5,6 +5,15 @@ Armijo backtracking; newton_refine finishes with damped Newton steps on a
 Hessian in banded form.  Callers work on flat vectors over their free
 degrees of freedom; the objective may return +inf outside an implicit
 domain, the line search then backtracks.
+
+Near a minimizer a Newton step predicts a decrease -t g.d below the
+round-off of f itself, so Armijo's value test can no longer rank trial
+points and would halve the step some 20 times to accept a move that
+leaves f unchanged.  Below VALUE_RESOLUTION |f| newton_refine therefore
+lets the gradient decide, after Hager & Zhang's approximate Wolfe
+conditions (SIAM J. Optim. 2005): it accepts a trial point whose
+grad_norm is smaller, as long as f has not risen by more than that
+resolution.  Above it the Armijo test decides alone.
 """
 
 from __future__ import annotations
@@ -13,6 +22,11 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
+
+# Relative resolution of an objective value: about 500 ulps, the
+# round-off of f summed over the cells of a grid.  A predicted decrease
+# below VALUE_RESOLUTION |f| cannot be told from noise in f.
+VALUE_RESOLUTION = 512 * np.finfo(float).eps
 
 
 def bb_minimize(x0: np.ndarray, value_and_grad, *,
@@ -105,7 +119,9 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
     that is not positive definite, or a step that does not descend, grows
     a shift of the diagonal until the step descends.  Used to finish
     first-order iterates off the slow tail of degenerate (p != 2)
-    problems.
+    problems.  A trial step whose predicted decrease is below
+    VALUE_RESOLUTION |f| is accepted when it lowers grad_norm and raises
+    f by at most that resolution (see the module docstring).
     """
     if grad_norm is None:
         grad_norm = lambda g: float(np.linalg.norm(g))
@@ -137,13 +153,16 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
             if d is not None and np.all(np.isfinite(d)):
                 gd = float(np.dot(g, d))
                 if gd < 0:
+                    floor = VALUE_RESOLUTION * abs(f)
                     step = 1.0
                     for _ in range(40):
                         x_new = x + step * d
                         f_new, g_new = value_and_grad(x_new)
-                        if math.isfinite(f_new) and \
-                                f_new <= f + 1e-4 * step * gd:
-                            accepted = True
+                        accepted = math.isfinite(f_new) and (
+                            f_new <= f + 1e-4 * step * gd
+                            if -step * gd > floor else
+                            f_new <= f + floor and grad_norm(g_new) < gn)
+                        if accepted:
                             break
                         step *= 0.5
                     if accepted:
@@ -153,7 +172,9 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
             converged = gn <= tol_grad * scale
             return x, _info(it, 0.0 if converged else decrement,
                             converged, f, gn)
-        decrement = (f - f_new) / max(abs(f), abs(f_new), 1e-300)
+        # a step accepted at the round-off floor may raise f within its
+        # resolution: that is no decrease, not a negative one
+        decrement = max(f - f_new, 0.0) / max(abs(f), abs(f_new), 1e-300)
         x, f, g = x_new, f_new, g_new
         gn = grad_norm(g)
         lm = lm / 4.0 if lm > 1e-14 else 0.0

@@ -41,6 +41,11 @@ BB_STAGE_ITER = 1500
 
 @dataclass(frozen=True)
 class SolveReport:
+    """What a solve did: its BB and Newton steps over all stages, the
+    relative decrease of the objective on its last step, and whether its
+    last stage passed its stop test.  The decrement is never negative: a
+    Newton step below the round-off of the objective may raise it within
+    solvers.VALUE_RESOLUTION, which counts as no decrease."""
     iterations: int
     final_decrement: float
     converged: bool
@@ -79,16 +84,16 @@ def torsion(mu: CapacitaryMeasure) -> tuple[Field, SolveReport]:
     if grid.p == 2.0:
         return _embed(grid, idx, quad), SolveReport(1, 0.0, True)
 
-    x, info = _bb_then_newton(ctx, idx, quad,
-                              lambda x: (-float(np.dot(b, x)), -b),
-                              grad_scale=dual_norm(ctx, b))
-    return _embed(grid, idx, x), SolveReport(
-        info["iterations"], info["final_decrement"], info["converged"])
+    x, report = _bb_then_newton(ctx, idx, quad,
+                                lambda x: (-float(np.dot(b, x)), -b),
+                                grad_scale=dual_norm(ctx, b))
+    return _embed(grid, idx, x), report
 
 
 def _bb_then_newton(ctx, idx, x0, extra, anchor_hessian=None, *,
                     grad_scale):
-    """Minimize f_mu plus an extra term over the free-node values x.
+    """Minimize f_mu plus an extra term over the free-node values x;
+    returns x and the solve's report.
 
     ``extra(x)`` returns the value and gradient of the extra term,
     ``anchor_hessian(x)`` its Hessian as weights on the cell anchor values
@@ -150,8 +155,8 @@ def _bb_then_newton(ctx, idx, x0, extra, anchor_hessian=None, *,
         x, vg, hs, max_iter=200,
         tol_decrement=DEFAULT_TOL_DECREMENT, tol_grad=DEFAULT_TOL_GRAD,
         grad_norm=gnorm, grad_scale=grad_scale)
-    ninfo["iterations"] += total
-    return x, ninfo
+    return x, SolveReport(total + ninfo["iterations"],
+                          ninfo["final_decrement"], ninfo["converged"])
 
 
 def field_distance_p(a: Field, b: Field) -> float:
@@ -224,8 +229,7 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
         return operators.hessian_diagonal(grid.dim, None, k * vol * bflat,
                                           hmeas, p)
 
-    x, info = _bb_then_newton(
+    x, report = _bb_then_newton(
         ctx, idx, zfree, fidelity, fidelity_hessian,
         grad_scale=max(k * z.norm_p() ** (p - 1.0), 1.0))
-    return _embed(grid, idx, x), SolveReport(
-        info["iterations"], info["final_decrement"], info["converged"])
+    return _embed(grid, idx, x), report

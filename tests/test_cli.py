@@ -192,6 +192,27 @@ def test_gamma_diag_unconverged_torsion_exits_3(tmp_path, monkeypatch):
     assert (out / "manifest.json").exists()
 
 
+def test_gamma_diag_p15_half_wall_exits_0(tmp_path):
+    # the s = 1e3 member's p = 1.5 torsion used to stop unconverged here,
+    # which made this valid config exit 3
+    n = 16
+    cfg = write_config(tmp_path, {
+        "grid": {"dim": 2, "n": n, "lengths": [1.0, 1.0], "p": 1.5},
+        "weights": {"w1": 1.0},
+        "gamma": {"mask": ([1] * (n // 2) + [0] * (n // 2)) * n,
+                  "s_values": [10.0, 1e3, 1e6], "m": 1,
+                  "psi": {"kind": "exp", "beta": 1.0}},
+    })
+    out = tmp_path / "out"
+    assert main(["gamma-diag", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    distances = checks["lsc"]["distances"]
+    assert len(distances) == 3
+    assert all(math.isfinite(d) and d > 0.0 for d in distances)
+    assert all(b < a for a, b in zip(distances, distances[1:]))
+
+
 def test_optimize_potential_run(tmp_path):
     cfg = write_config(tmp_path, {
         "grid": {"dim": 1, "n": 48, "lengths": [1.0], "p": 2.0},

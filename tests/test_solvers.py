@@ -6,7 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from plapopt.solvers import newton_refine
+from plapopt.solvers import VALUE_RESOLUTION, newton_refine
 
 
 def _tridiagonal(n):
@@ -77,6 +77,38 @@ def test_newton_refine_shifts_an_indefinite_band_until_it_descends():
     assert info["converged"]
     assert np.linalg.norm(value_and_grad(x)[1]) <= 1e-8
     sla.cholesky_banded(hessian(x))     # a minimum: positive definite
+
+
+def test_newton_refine_lets_the_gradient_decide_below_the_resolution_of_f():
+    # the quadratic plus n * 1e6, summed term by term as the energies sum
+    # over cells: f carries round-off of a few 1e-9, far above the
+    # decrease of 1e-13 that the Newton step from x0 predicts, while the
+    # gradient is still 30 times the tolerance.  Armijo's value test
+    # cannot rank such steps; the gradient test can
+    n = 20
+    H, band = _tridiagonal(n)
+    b = np.linspace(1.0, 2.0, n)
+    exact = sla.cho_solve_banded((sla.cholesky_banded(band), False), b)
+    calls = []
+
+    def value_and_grad(x):
+        calls.append(1)
+        Hx = H @ x
+        return float(np.sum(1e6 + x * (0.5 * Hx - b))), Hx - b
+
+    x0 = exact + 1e-7 * np.cos(np.arange(n))
+    f0, g0 = value_and_grad(x0)
+    calls.clear()
+    assert np.linalg.norm(g0) > 30 * 1e-8
+    x, info = newton_refine(x0, value_and_grad, lambda x: band)
+    assert info["converged"]
+    assert info["grad_norm"] <= 1e-8
+    assert 1 <= info["iterations"] <= 3
+    assert len(calls) <= 2 * info["iterations"]
+    # f rose within its resolution on the accepted step: no decrease,
+    # and none reported below 0
+    assert f0 < info["value"] <= f0 + VALUE_RESOLUTION * abs(f0)
+    assert info["final_decrement"] == 0.0
 
 
 def test_newton_refine_raises_on_a_band_of_the_wrong_shape():
