@@ -9,6 +9,9 @@ a strictly convex coercive problem on the nodes left free by the blocked
 region.  Weak and strong topologies agree on the fixed grid, so
 convergence of measures is metrized by the L^p distance of their torsion
 functions.
+
+Away from p = 2 both solves run damped Newton (from the p = 2 profile or
+from z), for p < 2 through a ladder of smoothed energies (_newton_ladder).
 """
 
 from __future__ import annotations
@@ -32,16 +35,19 @@ from plapopt.energy import (
 from plapopt import operators
 from plapopt.operators import _embed
 from plapopt import hessians
-from plapopt.solvers import bb_minimize, newton_refine
+from plapopt.solvers import newton_refine
 
 DEFAULT_TOL_DECREMENT = 1e-10
 DEFAULT_TOL_GRAD = 1e-8
-BB_STAGE_ITER = 1500
+# Last delta of the p < 2 ladder: (v^2 + delta)^(p/2) is |v|^p wherever
+# |v| >> 1e-15, and the curvature of a measure row stays below
+# c delta^(p/2 - 1) where the exact one grows without bound as v -> 0.
+MEASURE_DELTA_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """What a solve did: its BB and Newton steps over all stages, the
+    """What a solve did: its Newton steps over all stages, the
     relative decrease of the objective on its last step, and whether its
     last stage passed its stop test.  The decrement is never negative: a
     Newton step below the round-off of the objective may raise it within
@@ -68,8 +74,8 @@ def torsion(mu: CapacitaryMeasure) -> tuple[Field, SolveReport]:
     """Torsion function of a measure with its solve report.
 
     p = 2 solves the sparse linear system directly; general p starts
-    from the p = 2 profile and descends the convex objective (BB stage,
-    then Newton through a smoothing continuation for p < 2).
+    Newton from the p = 2 profile, through a smoothing continuation of the
+    Dirichlet and measure terms for p < 2 (_newton_ladder).
     """
     grid = mu.grid
     ctx = _torsion_context(mu)
@@ -84,79 +90,93 @@ def torsion(mu: CapacitaryMeasure) -> tuple[Field, SolveReport]:
     if grid.p == 2.0:
         return _embed(grid, idx, quad), SolveReport(1, 0.0, True)
 
-    x, report = _bb_then_newton(ctx, idx, quad,
-                                lambda x: (-float(np.dot(b, x)), -b),
-                                grad_scale=dual_norm(ctx, b))
+    x, report = _newton_ladder(ctx, idx, quad,
+                               lambda x: (-float(np.dot(b, x)), -b),
+                               grad_scale=dual_norm(ctx, b))
     return _embed(grid, idx, x), report
 
 
-def _bb_then_newton(ctx, idx, x0, extra, anchor_hessian=None, *,
-                    grad_scale):
+def _newton_ladder(ctx, idx, x0, extra, anchor_hessian=None, *,
+                   grad_scale):
     """Minimize f_mu plus an extra term over the free-node values x;
     returns x and the solve's report.
 
     ``extra(x)`` returns the value and gradient of the extra term,
     ``anchor_hessian(x)`` its Hessian as weights on the cell anchor values
-    (None: the term is linear).  The descent runs a BB stage, then Newton
-    through a smoothing continuation: |grad|^2 + eps inside the (p-2)/2
-    power, consistently in value, gradient and Hessian, so each stage is a
-    smooth convex problem that Newton finishes quadratically.  eps = None
-    is the target: the exact value of f_mu, with the context's eps_reg in
-    its gradient and Hessian.  For p >= 2 the gradient is already C^1 and
-    the continuation is skipped.  Every Newton step sums its Hessian into
-    band storage through one term list (operators.band_terms).
+    (None: the term is linear).  Newton runs from x0; for p >= 2 in one
+    exact stage, for p < 2 through a smoothing continuation: |grad|^2 + eps
+    inside the (p-2)/2 power, and c ((v^2 + delta)^(p/2) - delta^(p/2)) / p
+    for the term c |v|^p / p of each measure row v, consistently in value,
+    gradient and Hessian, so each stage is a smooth convex problem that
+    Newton finishes quadratically.  The first stages take eps = delta =
+    1e-2, 1e-5, 1e-8 h^2; the next keep the context's eps_reg and lower
+    delta by 1e-3 a stage down to MEASURE_DELTA_FLOOR, after the relaxed
+    weights of Diening, Fornasier, Tomasi & Wank (Numer. Math. 2020).  The
+    last stage stops at the solve's tolerances.  Every Newton step sums
+    its Hessian into band storage through one term list
+    (operators.band_terms).
     """
-    grid = ctx.grid
-    rows = ctx._rows
+    grid, rows, p = ctx.grid, ctx._rows, ctx.p
     K = _energy_map(ctx)[:, idx]
     # built once: K.T would build a new csc transpose on every evaluation
     KT = K.T
     terms = operators.band_terms(K, *hessians.pattern(ctx, K.shape[0]))
+    meas = slice(rows.n_grad, K.shape[0])
     # K's anchor rows are anchor_op's: the extra term's weights go there
     anchors = slice(rows.n_grad, rows.n_grad + grid.n_cells)
 
-    def make_stage(eps):
-        ctx_e = ctx if eps is None else replace(ctx, eps_reg=eps)
+    def make_stage(eps, delta):
+        ctx_e = replace(ctx, eps_reg=eps)
+
+        def rows_at(x):
+            # where delta smooths the measure rows v, zeroing them in y
+            # drops the kernel's exact terms there
+            y = K @ x
+            v = y[meas].copy()
+            if delta is not None:
+                y[meas] = 0.0
+            return y, v
 
         def value_and_grad(x):
-            parts = _kernel(ctx_e, K @ x, ctx_e.eps_reg,
-                            smooth_f=eps is not None)
+            y, v = rows_at(x)
+            parts = _kernel(ctx_e, y, eps, smooth_f=True)
             value, grad = extra(x)
-            return parts.f + value, KT @ parts.df + grad
+            f, df = parts.f + value, parts.df
+            if delta is not None:
+                t = v * v + delta
+                f += float(rows.f @ (t ** (p / 2) - delta ** (p / 2))) / p
+                df[meas] = rows.f * v * t ** (p / 2 - 1)
+            return f, KT @ df + grad
 
         def hess(x):
-            _, w = hessians.weights(ctx_e, K @ x, rows.f)
+            y, v = rows_at(x)
+            _, w = hessians.weights(ctx_e, y, rows.f)
+            if delta is not None:
+                t = v * v + delta
+                w[meas] = rows.f * t ** (p / 2 - 2) * ((p - 1) * v * v + delta)
             if anchor_hessian is not None:
                 w[anchors] += anchor_hessian(x)
             return terms.band(w)
 
         return value_and_grad, hess
 
-    gnorm = lambda g: dual_norm(ctx, g)
-    total = 0
-    value_and_grad, _ = make_stage(None)
-    x, info = bb_minimize(
-        x0, value_and_grad, max_iter=BB_STAGE_ITER,
-        tol_decrement=DEFAULT_TOL_DECREMENT, tol_grad=1e-4,
-        grad_norm=gnorm, grad_scale=grad_scale)
-    total += info["iterations"]
-    if ctx.p < 2.0:
+    stages = [(ctx.eps_reg, None)]      # (eps, delta); None: exact rows
+    if p < 2.0:
         h2 = min(grid.spacing) ** 2
-        for eps in (1e-2 * h2, 1e-5 * h2, 1e-8 * h2):
-            if eps <= ctx.eps_reg:
-                break
-            vg, hs = make_stage(eps)
-            x, sinfo = newton_refine(
-                x, vg, hs, tol_decrement=1e-12, tol_grad=1e-10,
-                grad_norm=gnorm, grad_scale=grad_scale)
-            total += sinfo["iterations"]
-    vg, hs = make_stage(None)
-    x, ninfo = newton_refine(
-        x, vg, hs, max_iter=200,
-        tol_decrement=DEFAULT_TOL_DECREMENT, tol_grad=DEFAULT_TOL_GRAD,
-        grad_norm=gnorm, grad_scale=grad_scale)
-    return x, SolveReport(total + ninfo["iterations"],
-                          ninfo["final_decrement"], ninfo["converged"])
+        stages = [(eps, eps) for eps in (1e-2 * h2, 1e-5 * h2, 1e-8 * h2)]
+        while stages[-1][1] > MEASURE_DELTA_FLOOR:
+            stages.append((ctx.eps_reg,
+                           max(1e-3 * stages[-1][1], MEASURE_DELTA_FLOOR)))
+    x, total = x0, 0
+    for i, stage in enumerate(stages):
+        tols = (dict(max_iter=200, tol_decrement=DEFAULT_TOL_DECREMENT,
+                     tol_grad=DEFAULT_TOL_GRAD) if i == len(stages) - 1
+                else dict(tol_decrement=1e-12, tol_grad=1e-10))
+        x, info = newton_refine(x, *make_stage(*stage),
+                                grad_norm=lambda g: dual_norm(ctx, g),
+                                grad_scale=grad_scale, **tols)
+        total += info["iterations"]
+    return x, SolveReport(total, info["final_decrement"], info["converged"])
 
 
 def field_distance_p(a: Field, b: Field) -> float:
@@ -229,7 +249,7 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
         return operators.hessian_diagonal(grid.dim, None, k * vol * bflat,
                                           hmeas, p)
 
-    x, report = _bb_then_newton(
+    x, report = _newton_ladder(
         ctx, idx, zfree, fidelity, fidelity_hessian,
         grad_scale=max(k * z.norm_p() ** (p - 1.0), 1.0))
     return _embed(grid, idx, x), report

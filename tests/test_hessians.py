@@ -147,17 +147,75 @@ def test_prox_band_is_f_plus_the_fidelity_hessian(monkeypatch, dim, n, p):
                               lambda: torsion.prox(z, k, mu, b))
     anchor = operators.anchor_op(g)
     tctx = torsion._torsion_context(mu)
+    # f's Dirichlet part alone: the same blocked cells, no density, no atoms
+    dctx = torsion._torsion_context(CapacitaryMeasure(g, 0.0, mu.blocked))
+    K, rows = _energy_map(tctx), tctx._rows
     h2 = min(g.spacing) ** 2
-    # the first stage smooths with eps = 1e-2 h^2 at p < 2, the last is exact
-    checked = [(stages[0], 1e-2 * h2 if p < 2.0 else None), (stages[-1], None)]
-    for (x, hessian), eps in checked:
-        ctx_e = tctx if eps is None else replace(tctx, eps_reg=eps)
+    # at p < 2 the first stage smooths |grad|^2 and the measure rows with
+    # eps = delta = 1e-2 h^2; the last keeps eps_reg and the floor delta
+    checked = [(stages[0], 1e-2 * h2, 1e-2 * h2),
+               (stages[-1], None, torsion.MEASURE_DELTA_FLOOR)] \
+        if p < 2.0 else [(stages[0], None, None), (stages[-1], None, None)]
+    for (x, hessian), eps, delta in checked:
+        ctx_e = dctx if eps is None else replace(dctx, eps_reg=eps)
+        meas = K[rows.n_grad:, free]
         diag = operators.hessian_diagonal(
             g.dim, None, k * g.cell_volume * b,
             abs_pow(anchor[:, free] @ x - anchor @ z.flat, p - 2.0), p)
         ref = hessian_f(ctx_e, operators._embed(g, free, x), free) \
+            + operators.sandwich(meas, sp.diags(
+                _measure_weights(rows.f, meas @ x, p, delta))) \
             + operators.sandwich(anchor[:, free], sp.diags(diag))
         _assert_band_is(hessian(x), ref)
+
+
+def _measure_weights(c, v, p, delta):
+    """Second derivative of c |v|^p / p (delta None), or of the smoothed
+    c ((v^2 + delta)^(p/2) - delta^(p/2)) / p, row by row."""
+    if delta is None:
+        return (p - 1.0) * c * abs_pow(v, p - 2.0)
+    t = v * v + delta
+    return c * t ** (p / 2.0 - 2.0) * ((p - 1.0) * v * v + delta)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 12), (2, 8)])
+def test_p_below_2_ladder_stages_are_consistent(monkeypatch, dim, n):
+    # each stage's gradient is the derivative of its value and its band
+    # that of its gradient, at the stage's own scale sqrt(delta), where
+    # the smoothing of the measure rows matters.  The 1D problem has
+    # atoms, the 2D one none (p < 2 = dim gives a point no capacity).
+    # eps_reg = 1e-40: the constant eps^(p/2) that the Dirichlet smoothing
+    # adds per cell would otherwise swamp the value differences.
+    ctx, free, _, _ = _problem(dim, n, 1.5, seed=9)
+    stages = []
+
+    def recording(x0, value_and_grad, hessian, **kwargs):
+        stages.append((value_and_grad, hessian))
+        return x0, {"iterations": 0, "final_decrement": 0.0,
+                    "converged": True}
+
+    monkeypatch.setattr(torsion, "newton_refine", recording)
+    torsion._newton_ladder(replace(ctx, eps_reg=1e-40), free,
+                           np.zeros(free.size),
+                           lambda x: (0.0, np.zeros_like(x)), grad_scale=1.0)
+    h2 = min(ctx.grid.spacing) ** 2
+    deltas = [1e-2 * h2, 1e-5 * h2, 1e-8 * h2]
+    while deltas[-1] > torsion.MEASURE_DELTA_FLOOR:
+        deltas.append(max(1e-3 * deltas[-1], torsion.MEASURE_DELTA_FLOOR))
+    assert len(stages) == len(deltas)
+    rng = np.random.default_rng(9)
+    for (value_and_grad, hessian), delta in zip(stages, deltas):
+        x = np.sqrt(delta) * rng.uniform(-2.0, 2.0, free.size)
+        v = rng.standard_normal(free.size)
+        step = 1e-6 * np.sqrt(delta)
+        (f_plus, g_plus), (f_minus, g_minus) = (value_and_grad(x + step * v),
+                                                value_and_grad(x - step * v))
+        slope = value_and_grad(x)[1] @ v
+        assert abs((f_plus - f_minus) / (2.0 * step) - slope) \
+            <= 1e-6 * abs(slope), delta
+        Hv = _from_band(hessian(x)) @ v
+        fd = (g_plus - g_minus) / (2.0 * step)
+        assert np.linalg.norm(Hv - fd) <= 1e-6 * np.linalg.norm(Hv), delta
 
 
 def test_p2_pencil_matches_dense_oracle_1d():
