@@ -9,14 +9,11 @@ row of sum c |y|^p / p contributes the diagonal (p-1) c |y|^(p-2).
 Negative powers of |y| are clamped as by abs_pow, so the Newton model
 stays bounded near zeros of the field.
 
-Two assemblies share those weights.  assemble builds W as one csr and
-multiplies it out (operators.sandwich); the eigenpair polish uses it for
-f - lambda (g1 - g2), and hessian_f / hessian_g_diff are the reference
-Hessians that the tests check everything else against.  The Newton steps
-of torsion and prox sum the same weights into LAPACK upper band storage
-through a term list built once per solve (operators.band_terms): n free
-nodes and half-bandwidth bw take n (bw + 1) numbers, and its Cholesky
-factor n bw^2 operations.
+A solve sums these weights through one operators.term_list on
+pattern(): the Newton steps of torsion and prox into band storage, the
+eigenpair polish f - lambda (g1 - g2) into csr.  assemble multiplies a
+csr W out (operators.sandwich) for hessian_f and hessian_g_diff, the
+reference Hessians that the tests check everything else against.
 """
 
 from __future__ import annotations

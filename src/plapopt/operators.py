@@ -9,8 +9,8 @@ The operators are built once per grid (and atom set) and cached; every
 caller shares them, so their arrays are marked read-only.  The stacked
 energy map K fixes the row layout that the energies integrate over; the
 weights of f, g1 and g2 on its rows, the diagonal of their Hessian
-weights and the product K_F^T W K_F on the free nodes (a sparse product,
-or a term list into band storage) live here with it.
+weights and the term lists that every K_F^T W K_F is read from live here
+with it (sandwich, the sparse product, is the tests' reference).
 """
 
 from __future__ import annotations
@@ -153,38 +153,45 @@ def sandwich(KF: sp.csr_matrix, W: sp.spmatrix) -> sp.csr_matrix:
     return KF.T @ (W @ KF)
 
 
-class BandTerms(NamedTuple):
-    """K_F^T W K_F in LAPACK upper band storage, as a list of terms.
+class Terms(NamedTuple):
+    """K_F^T W K_F for W's values on a pattern, as a list of terms.
 
-    Term t adds kk[t] * weights[w[t]], a product K_F[r, i] W[r, s]
-    K_F[s, j] with i <= j, to entry slot[t] of the flat band: row
-    bw + i - j, column j of a (bw + 1, n) array over the n free nodes, as
-    scipy.linalg.cholesky_banded reads it.  Every row of K touches the
-    nodes of one cell, so on the free nodes in C order the half-bandwidth
-    bw is below the cells per axis: the band holds n (bw + 1) numbers
-    where a dense Hessian would hold n^2.
+    Term t adds ki[t] * (weights[w[t]] * kj[t]), a product K_F[r, i]
+    W[r, s] K_F[s, j], to stored entry e[t] of the csr pattern (indptr,
+    indices); a diagonal W gives K_F^T (W K_F) bit for bit.  The terms
+    with i <= j come first and add to slot[t] of the LAPACK upper band
+    (row bw + i - j, column j of (bw + 1, n)); each row of K touches one
+    cell's nodes, so bw is below the cells per axis.
     """
 
-    bw: int
-    n: int
-    slot: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    e: np.ndarray
     w: np.ndarray
-    kk: np.ndarray
+    ki: np.ndarray
+    kj: np.ndarray
+    slot: np.ndarray
+    bw: int
+
+    def _products(self, weights: np.ndarray, t=slice(None)) -> np.ndarray:
+        return self.ki[t] * (weights[self.w[t]] * self.kj[t])
+
+    def csr(self, weights: np.ndarray) -> sp.csr_matrix:
+        """K_F^T W K_F on its pattern, for W's values on the list's."""
+        n = self.indptr.size - 1
+        data = np.bincount(self.e, self._products(weights), self.indices.size)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
     def band(self, weights: np.ndarray) -> np.ndarray:
-        """The upper band of K_F^T W K_F for W's values on its pattern."""
-        data = np.bincount(self.slot, self.kk * weights[self.w],
-                           (self.bw + 1) * self.n)
-        return data.reshape(self.bw + 1, self.n)
+        """The upper band of K_F^T W K_F, for W's values on the list's."""
+        n, bw = self.indptr.size - 1, self.bw
+        x = self._products(weights, slice(self.slot.size))
+        return np.bincount(self.slot, x, (bw + 1) * n).reshape(bw + 1, n)
 
 
-def band_terms(KF: sp.csr_matrix, r: np.ndarray,
-               s: np.ndarray) -> BandTerms:
-    """The terms of K_F^T W K_F for W with the pattern (r, s).
-
-    Every pair of stored entries K_F[r, i], K_F[s, j] of a pattern entry
-    (r, s) is a term; those with i > j are left to the symmetric half.
-    """
+def term_list(KF: sp.csr_matrix, r: np.ndarray, s: np.ndarray) -> Terms:
+    """The terms of K_F^T W K_F for W with the pattern (r, s): every pair
+    of stored entries K_F[r, i], K_F[s, j], pattern entry by entry."""
     nnz = np.diff(KF.indptr)
     cr, cs = nnz[r], nnz[s]
     per = cr * cs
@@ -192,13 +199,25 @@ def band_terms(KF: sp.csr_matrix, r: np.ndarray,
     # term t of pattern entry w pairs the rows' stored entries t // cs, t % cs
     t = np.arange(w.size) - np.repeat(np.cumsum(per) - per, per)
     a, b = KF.indptr[r[w]] + t // cs[w], KF.indptr[s[w]] + t % cs[w]
-    i, j = KF.indices[a].astype(np.int64), KF.indices[b].astype(np.int64)
-    upper = i <= j
-    i, j, w = i[upper], j[upper], w[upper]
-    bw = int((j - i).max(initial=0))
-    n = KF.shape[1]
-    return BandTerms(bw, n, (bw + i - j) * n + j, w,
-                     KF.data[a[upper]] * KF.data[b[upper]])
+    # the terms with i <= j first; each entry keeps its terms' order
+    first = np.argsort(KF.indices[b] < KF.indices[a], kind="stable")
+    w, a, b = w[first], a[first], b[first]
+    n, i, j = KF.shape[1], KF.indices[a], KF.indices[b]
+    bw = int(np.abs(j - i).max(initial=0))
+    m = 2 * bw + 1
+    # an entry's place in a dense (n, m) band orders the entries as csr does
+    place = i * np.int64(m) + (j - i + bw)
+    ids = np.zeros(n * m, dtype=np.int32)
+    ids[place] = 1
+    keys = np.flatnonzero(ids)
+    ids[keys] = np.arange(keys.size)
+    terms = Terms(np.searchsorted(keys, np.arange(n + 1) * m).astype(np.int32),
+                  (keys % m + keys // m - bw).astype(np.int32),
+                  ids[place].astype(np.intp), w, KF.data[a], KF.data[b],
+                  ((bw + i - j) * n + j)[:np.count_nonzero(i <= j)], bw)
+    for arr in terms[:-1]:
+        arr.setflags(write=False)
+    return terms
 
 
 def free_node_mask(grid: GridSpec, mu: CapacitaryMeasure) -> np.ndarray:
@@ -219,24 +238,11 @@ def _embed(grid: GridSpec, idx: np.ndarray, x: np.ndarray) -> Field:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _p2_terms(grid: GridSpec, mu_atoms: Atoms, w1_atoms: Atoms):
-    """Pattern (indptr, indices) of K^T diag(w) K on all interior nodes and
-    its terms: row r of K adds per_row[r] terms ki * (w[r] * kj), ki = K[r, i]
-    and kj = K[r, j], to the entries e = (i, j), as K^T (W K) does, bitwise."""
+def _p2_terms(grid: GridSpec, mu_atoms: Atoms, w1_atoms: Atoms) -> Terms:
+    """The terms of K^T diag(w) K on all interior nodes."""
     K = energy_map(grid, mu_atoms, w1_atoms)
-    n, c = K.shape[1], np.diff(K.indptr)
-    r = np.repeat(np.arange(K.shape[0]), c * c)
-    # term s of row r pairs the row's stored entries s // c and s % c
-    s = np.arange(r.size) - np.repeat(np.cumsum(c * c) - c * c, c * c)
-    a, b = K.indptr[r] + s // c[r], K.indptr[r] + s % c[r]
-    keys, e = np.unique(K.indices[a] * np.int64(n) + K.indices[b],
-                        return_inverse=True)
-    terms = (np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32),
-             (keys % n).astype(np.int32), e.astype(np.int32), c * c,
-             K.data[a], K.data[b])
-    for arr in terms:
-        arr.setflags(write=False)
-    return terms
+    diag = np.arange(K.shape[0])
+    return term_list(K, diag, diag)
 
 
 def p2_matrices(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair,
@@ -249,19 +255,15 @@ def p2_matrices(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair,
     """
     idx = np.flatnonzero(free_node_mask(grid, mu) if free is None else free)
     rows = energy_rows(grid, mu, weights)
-    indptr, indices, e, per_row, ki, kj = _p2_terms(grid, mu.atoms,
-                                                    weights.w1_atoms)
+    terms = _p2_terms(grid, mu.atoms, weights.w1_atoms)
 
-    def assemble(w, first_row):    # w weighs K's rows from first_row on
-        lo = per_row[:first_row].sum()
-        x = ki[lo:] * (np.repeat(w, per_row[first_row:]) * kj[lo:])
-        data = np.bincount(e[lo:], x, indices.size)
-        M = sp.csr_matrix((data, indices, indptr), shape=(grid.n_nodes,) * 2)
+    def assemble(w):
+        M = terms.csr(w)
         # a copy either way, so that eliminate_zeros spares the cache
         M = M[idx][:, idx] if idx.size < grid.n_nodes else M.copy()
         M.eliminate_zeros()
         return M.tocsc()
 
     diag = lambda hcell, c: hessian_diagonal(grid.dim, hcell, c, 1.0, 2.0)
-    return (assemble(diag(rows.vol * rows.keep, rows.f), 0),
-            assemble(diag(None, rows.g1 - rows.g2), rows.n_grad), idx)
+    return (assemble(diag(rows.vol * rows.keep, rows.f)),
+            assemble(diag(0.0 * rows.keep, rows.g1 - rows.g2)), idx)

@@ -1,10 +1,9 @@
-"""Shared unconstrained minimization loops for the convex solvers.
+"""Unconstrained minimization loops.
 
-bb_minimize takes Barzilai-Borwein trial steps safeguarded by monotone
-Armijo backtracking; newton_refine finishes with damped Newton steps on a
-Hessian in banded form.  Callers work on flat vectors over their free
-degrees of freedom; the objective may return +inf outside an implicit
-domain, the line search then backtracks.
+newton_refine takes the convex solvers' damped Newton steps on a banded
+Hessian; bb_minimize (Barzilai-Borwein, monotone Armijo) has no caller and
+is kept only for the benchmark tracer's span.  Callers work on flat
+vectors; the objective may be +inf outside a domain, the search backtracks.
 
 Near a minimizer a Newton step predicts a decrease -t g.d below the
 round-off of f itself, so Armijo's value test can no longer rank trial

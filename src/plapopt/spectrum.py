@@ -540,14 +540,16 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
                      ) -> tuple[float, Field, float]:
     """Damped Newton on (f'(u) - lambda (g1'-g2')(u), g1-g2-1) = 0.
 
-    Each step makes one kernel pass with Hessian weights and assembles
-    the Hessian of f - lambda (g1 - g2) once.  Returns (lambda, field,
-    residual); the input only needs to be a feasible approximation.
+    Each step reads the Hessian of f - lambda (g1 - g2) from one kernel
+    pass and the call's one term list.  Returns (lambda, field, residual);
+    the input only needs to be a feasible approximation.
     """
     grid = ctx.grid
     rows = ctx._rows
     idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
     ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
+    terms = operators.term_list(ev.KM,
+                                *hessians.pattern(ctx, ev.KM.shape[0]))
     # v @ KM transposes KM on every call; KM.T @ v is the same product
     KM_t, KM_meas_t = ev.KM.T, ev.KM_meas.T
     u = _normalize(ctx, u)
@@ -563,16 +565,14 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
     x = u.flat[idx]
     best = (lam, u, residual(ctx, u, lam))
     for _ in range(NEWTON_MAX_ITER):
-        parts, H = hessians.assemble(ctx, ev.KM, ev.KM @ x,
-                                     rows.f - lam * (rows.g1 - rows.g2))
+        parts, w = hessians.weights(ctx, ev.KM @ x,
+                                    rows.f - lam * (rows.g1 - rows.g2))
         r, denom, _, gdiff = system(parts, lam)
-        J = sp.bmat([[H, -sp.csc_matrix(gdiff).T],
+        J = sp.bmat([[terms.csr(w), -sp.csc_matrix(gdiff).T],
                      [sp.csc_matrix(gdiff), None]], format="csc")
         rhs = -np.concatenate([r, [denom - 1.0]])
-        try:
-            delta = spla.spsolve(J, rhs)
-        except Exception:
-            break
+        # an exactly singular J gives NaN (and a MatrixRankWarning)
+        delta = spla.spsolve(J, rhs)
         if not np.all(np.isfinite(delta)):
             break
         step = 1.0

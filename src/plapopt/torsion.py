@@ -113,14 +113,14 @@ def _newton_ladder(ctx, idx, x0, extra, anchor_hessian=None, *,
     delta by 1e-3 a stage down to MEASURE_DELTA_FLOOR, after the relaxed
     weights of Diening, Fornasier, Tomasi & Wank (Numer. Math. 2020).  The
     last stage stops at the solve's tolerances.  Every Newton step sums
-    its Hessian into band storage through one term list
-    (operators.band_terms).
+    its Hessian into band storage through the solve's one term list
+    (operators.term_list).
     """
     grid, rows, p = ctx.grid, ctx._rows, ctx.p
     K = _energy_map(ctx)[:, idx]
     # built once: K.T would build a new csc transpose on every evaluation
     KT = K.T
-    terms = operators.band_terms(K, *hessians.pattern(ctx, K.shape[0]))
+    terms = operators.term_list(K, *hessians.pattern(ctx, K.shape[0]))
     meas = slice(rows.n_grad, K.shape[0])
     # K's anchor rows are anchor_op's: the extra term's weights go there
     anchors = slice(rows.n_grad, rows.n_grad + grid.n_cells)
@@ -232,7 +232,8 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
 
     if p == 2.0:
         A, _, _ = operators.p2_matrices(grid, mu, lebesgue_weights(grid), free)
-        M = operators.sandwich(anchor, sp.diags(vol * bflat))
+        # each node anchors at most one cell: anchor^T diag(d) anchor
+        M = sp.diags(anchor_t @ (vol * bflat))
         x = spla.spsolve((A + k * M).tocsc(), k * (M @ zfree))
         return _embed(grid, idx, x), SolveReport(1, 0.0, True)
 

@@ -108,9 +108,9 @@ def test_band_terms_give_the_hessian_of_f(dim, n, p):
     # a blocked cell in both dimensions, mu and nu1 atoms where p > dim
     ctx, free, values, _ = _problem(dim, n, p, seed=7)
     K = _energy_map(ctx)
-    terms = operators.band_terms(K[:, free],
-                                 *hessians.pattern(ctx, K.shape[0]))
-    assert terms.bw < n and terms.n == free.size
+    terms = operators.term_list(K[:, free],
+                                *hessians.pattern(ctx, K.shape[0]))
+    assert terms.bw < n and terms.indptr.size - 1 == free.size
     stages = [ctx]
     if p < 2.0:     # a smoothing stage of the p < 2 continuation
         stages.append(replace(ctx, eps_reg=1e-2 * min(ctx.grid.spacing) ** 2))
@@ -118,6 +118,13 @@ def test_band_terms_give_the_hessian_of_f(dim, n, p):
         _, w = hessians.weights(ctx_e, K @ values, ctx._rows.f)
         _assert_band_is(terms.band(w),
                         hessian_f(ctx_e, Field(ctx.grid, values), free))
+    # the eigenpair polish reads f - lam (g1 - g2) from the same list
+    lam, rows = 3.7, ctx._rows
+    c = rows.f - lam * (rows.g1 - rows.g2)
+    _, w = hessians.weights(ctx, K @ values, c)
+    _, ref = assemble(ctx, K[:, free], K @ values, c)
+    err = abs(terms.csr(w) - ref).max()
+    assert err <= 1e-14 * abs(ref).max(), err / abs(ref).max()
 
 
 def _newton_hessians(monkeypatch, solve):
@@ -304,6 +311,8 @@ def test_p2_pencil_is_the_sparse_product_bit_for_bit(dim):
         assert np.array_equal(M.indptr, ref.indptr)
         assert np.array_equal(M.indices, ref.indices)
         assert M.data.tobytes() == ref.data.tobytes()
-    # the pattern is shared by every later call: read-only
+    # the list is shared by every later call: every array read-only
     terms = operators._p2_terms(g, mu.atoms, weights.w1_atoms)
-    assert not any(arr.flags.writeable for arr in terms)
+    arrays = [x for x in terms if not isinstance(x, int)]
+    assert len(arrays) == len(terms) - 1
+    assert not any(arr.flags.writeable for arr in arrays)

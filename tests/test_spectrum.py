@@ -108,6 +108,22 @@ def test_eigen_first_p2_matches_oracle():
     assert denom_norm < 1e-12
 
 
+def test_eigen_minimax_1d_p3_levels_match_the_closed_form():
+    # lambda_k = (p - 1) (k pi_p / L)^p on (0, L) (Drabek & Manasevich,
+    # Differential Integral Equations 1999), approached at second order
+    p = 3.0
+    exact = (p - 1.0) * (np.arange(1, 5) * pi_p(p)) ** p
+    errors = []
+    for n in (32, 64):
+        result = eigen_minimax(plain_ctx(n, p=p), 4, seed=1)
+        assert result.statuses == ["finite"] * 4
+        errors.append(np.array(result.lambdas) / exact - 1.0)
+    assert np.abs(errors[0]).max() <= 3.5e-2
+    assert np.abs(errors[1]).max() <= 7.5e-3
+    order = np.log2(errors[0] / errors[1])
+    assert np.all((order >= 1.8) & (order <= 2.3)), order
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_eigen_first_general_p(p):
     n = 128
