@@ -158,13 +158,13 @@ def _grad_weights(p: float, s: np.ndarray, eps: float, keep: np.ndarray):
     return t, keep * w
 
 
-def _kernel(ctx: EnergyContext, y: np.ndarray, eps: float,
-            smooth_f: bool = False, hess: bool = False):
+def _kernel(ctx: EnergyContext, y: np.ndarray, smooth_f: bool = False,
+            hess: bool = False):
     """f, g1, g2 and their gradient weights from y = K x in one pass.
 
     y may be a stack (S, rows); each row gets the operations, and so the
-    bits, of a call on it alone.  For p < 2, eps smooths |grad|^2 in the
-    gradient weights (see _grad_weights); the value of f stays exact
+    bits, of a call on it alone.  For p < 2, ctx.eps_reg smooths |grad|^2
+    in the gradient weights (see _grad_weights); the value of f stays exact
     unless smooth_f asks for the smoothed energy that those weights
     differentiate.  hess returns the pair (_Parts, _Curvature) with the
     Hessian weights of the same pass.
@@ -175,7 +175,7 @@ def _kernel(ctx: EnergyContext, y: np.ndarray, eps: float,
     grads = y[..., :rows.n_grad].reshape(*stack, ctx.grid.dim, -1)
     meas = y[..., rows.n_grad:]
     s = (grads * grads).sum(axis=-2)
-    t, w = _grad_weights(p, s, eps, rows.keep)
+    t, w = _grad_weights(p, s, ctx.eps_reg, rows.keep)
     if smooth_f or t is s:
         dirichlet = np.vecdot(w, t)         # t^(p/2) = t^((p-2)/2) t
     else:
@@ -201,7 +201,7 @@ def _kernel(ctx: EnergyContext, y: np.ndarray, eps: float,
 
 def _field_parts(ctx: EnergyContext, u: Field) -> _Parts:
     _check_grid(ctx, u)
-    return _kernel(ctx, _energy_map(ctx) @ u.flat, ctx.eps_reg)
+    return _kernel(ctx, _energy_map(ctx) @ u.flat)
 
 
 def _node_gradient(ctx: EnergyContext, weights: np.ndarray) -> Field:

@@ -36,7 +36,7 @@ def weights(ctx: EnergyContext, y: np.ndarray, c: np.ndarray,
     the two for the matching combination of energies.  The pattern is
     pattern(ctx, y.size, dirichlet).
     """
-    parts, curv = _kernel(ctx, y, ctx.eps_reg, hess=True)
+    parts, curv = _kernel(ctx, y, hess=True)
     rows, grid = ctx._rows, ctx.grid
     w = [operators.hessian_diagonal(
         grid.dim, curv.hcell if dirichlet else None, c, curv.hmeas, ctx.p)]

@@ -22,7 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from plapopt.grid import GridSpec, Field, blocked_adjacent_nodes
-from plapopt.measure import Atoms, CapacitaryMeasure, WeightPair
+from plapopt.measure import (Atoms, CapacitaryMeasure, WeightPair,
+                             sigma_finite_set)
 
 _CACHE_SIZE = 32
 
@@ -121,7 +122,8 @@ def energy_rows(grid: GridSpec, mu: CapacitaryMeasure,
     n_mu, n_w1 = len(mu.atoms), len(weights.w1_atoms)
     masses = lambda atoms: [mass for _, mass in atoms]
     rows = Rows(
-        grid.dim * grid.n_cells, vol, kept_cells(mu).astype(float),
+        grid.dim * grid.n_cells, vol,
+        sigma_finite_set(mu).reshape(-1).astype(float),
         np.concatenate([vol * mu.density.reshape(-1), masses(mu.atoms),
                         np.zeros(n_w1)]),
         np.concatenate([vol * weights.w1.reshape(-1), np.zeros(n_mu),
@@ -225,11 +227,6 @@ def free_node_mask(grid: GridSpec, mu: CapacitaryMeasure) -> np.ndarray:
     return ~blocked_adjacent_nodes(grid, mu.blocked).reshape(-1)
 
 
-def kept_cells(mu: CapacitaryMeasure) -> np.ndarray:
-    """Flat boolean mask of the cells outside the blocked region."""
-    return ~mu.blocked.reshape(-1)
-
-
 def _embed(grid: GridSpec, idx: np.ndarray, x: np.ndarray) -> Field:
     """Field with values x on the nodes idx and zero elsewhere."""
     values = np.zeros(grid.n_nodes)
@@ -245,15 +242,14 @@ def _p2_terms(grid: GridSpec, mu_atoms: Atoms, w1_atoms: Atoms) -> Terms:
     return term_list(K, diag, diag)
 
 
-def p2_matrices(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair,
-                free: np.ndarray | None = None):
+def p2_matrices(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair):
     """Stiffness/weight pencil of the quadratic (p=2) energies.
 
     Returns sparse symmetric ``(A, B)`` restricted to free nodes, with
     u^T A u = 2 f_mu(u) and u^T B u = 2 (g1 - g2)(u) for p = 2: the
     Hessians of f and of g1 - g2, whose p = 2 weights do not depend on u.
     """
-    idx = np.flatnonzero(free_node_mask(grid, mu) if free is None else free)
+    idx = np.flatnonzero(free_node_mask(grid, mu))
     rows = energy_rows(grid, mu, weights)
     terms = _p2_terms(grid, mu.atoms, weights.w1_atoms)
 

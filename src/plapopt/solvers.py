@@ -116,11 +116,12 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
     scipy.linalg.cholesky_banded).  Each try costs a banded Cholesky
     factorization, n bw^2 operations in n (bw + 1) memory.  A Hessian
     that is not positive definite, or a step that does not descend, grows
-    a shift of the diagonal until the step descends.  Used to finish
-    first-order iterates off the slow tail of degenerate (p != 2)
-    problems.  A trial step whose predicted decrease is below
-    VALUE_RESOLUTION |f| is accepted when it lowers grad_norm and raises
-    f by at most that resolution (see the module docstring).
+    a shift of the diagonal until the step descends.  The torsion and
+    prox solves run it from the p = 2 profile or from z, once per stage
+    of their p < 2 smoothing ladder.  A trial step whose predicted
+    decrease is below VALUE_RESOLUTION |f| is accepted when it lowers
+    grad_norm and raises f by at most that resolution (see the module
+    docstring).
     """
     if grad_norm is None:
         grad_norm = lambda g: float(np.linalg.norm(g))

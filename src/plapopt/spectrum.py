@@ -245,7 +245,7 @@ class _SubspaceEval:
                    bool(np.any(V[:, badj] != 0.0)))
 
     def parts(self, x):
-        return _kernel(self.ctx, _push(self.KM, x), self.ctx.eps_reg)
+        return _kernel(self.ctx, _push(self.KM, x))
 
     def _second_order(self, X):
         """Kernel parts at the rows of X with the coefficient Hessians
@@ -254,7 +254,7 @@ class _SubspaceEval:
         ctx, KM = self.ctx, self.KM
         rows, dim, p = ctx._rows, ctx.grid.dim, ctx.p
         y = _push(KM, X)
-        parts, curv = _kernel(ctx, y, ctx.eps_reg, hess=True)
+        parts, curv = _kernel(ctx, y, hess=True)
         diag = operators.hessian_diagonal(dim, curv.hcell, rows.f,
                                           curv.hmeas, p)
         Hf = np.matmul(KM.T * diag[:, None, :], KM)

@@ -10,8 +10,11 @@ region.  Weak and strong topologies agree on the fixed grid, so
 convergence of measures is metrized by the L^p distance of their torsion
 functions.
 
-Away from p = 2 both solves run damped Newton (from the p = 2 profile or
-from z), for p < 2 through a ladder of smoothed energies (_newton_ladder).
+Both solves are one convex solve (_convex_solve): f_mu plus a term of
+each cell's anchor value, the load -v of torsion or the fidelity of
+prox.  At p = 2 it is one exact Newton step; elsewhere damped Newton runs
+from the p = 2 profile (torsion) or from z (prox), for p < 2 through a
+ladder of smoothed energies.  Every step factors the same banded Hessian.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
 
-from plapopt.grid import GridSpec, Field, anchor_values, integrate
+from plapopt.grid import Field, anchor_values, integrate
 from plapopt.measure import CapacitaryMeasure, lebesgue_weights
 from plapopt.energy import (
     EnergyContext,
@@ -63,67 +65,79 @@ def _torsion_context(mu: CapacitaryMeasure) -> EnergyContext:
     return EnergyContext(mu.grid, mu, lebesgue_weights(mu.grid))
 
 
-def _load_vector(grid: GridSpec, free_idx: np.ndarray) -> np.ndarray:
-    """Right-hand side of int v: cell volume at each free anchor node."""
-    ones = np.ones(grid.n_cells)
-    anchor = operators.anchor_op(grid)[:, free_idx]
-    return grid.cell_volume * (anchor.T @ ones)
-
-
 def torsion(mu: CapacitaryMeasure) -> tuple[Field, SolveReport]:
     """Torsion function of a measure with its solve report.
 
-    p = 2 solves the sparse linear system directly; general p starts
-    Newton from the p = 2 profile, through a smoothing continuation of the
-    Dirichlet and measure terms for p < 2 (_newton_ladder).
+    p = 2 takes one exact Newton step; general p starts Newton from the
+    p = 2 profile, through a smoothing continuation of the Dirichlet and
+    measure terms for p < 2 (_convex_solve).
     """
     grid = mu.grid
     ctx = _torsion_context(mu)
-    free = operators.free_node_mask(grid, mu)
-    idx = np.flatnonzero(free)
+    idx = np.flatnonzero(operators.free_node_mask(grid, mu))
     if idx.size == 0:
         return Field(grid, np.zeros(grid.n_nodes)), SolveReport(0, 0.0, True)
 
-    b = _load_vector(grid, idx)
-    A, _, _ = operators.p2_matrices(grid, mu, lebesgue_weights(grid), free)
-    quad = spla.spsolve(A.tocsc(), b)
-    if grid.p == 2.0:
-        return _embed(grid, idx, quad), SolveReport(1, 0.0, True)
-
-    x, report = _newton_ladder(ctx, idx, quad,
-                               lambda x: (-float(np.dot(b, x)), -b),
-                               grad_scale=dual_norm(ctx, b))
+    vol = grid.cell_volume
+    # the load -int v: -vol on each anchor row
+    load = lambda v: (-vol * float(v.sum()), np.full(v.size, -vol),
+                      np.zeros(v.size))
+    x, report = _convex_solve(ctx, idx, load)
     return _embed(grid, idx, x), report
 
 
-def _newton_ladder(ctx, idx, x0, extra, anchor_hessian=None, *,
-                   grad_scale):
-    """Minimize f_mu plus an extra term over the free-node values x;
-    returns x and the solve's report.
+def _convex_solve(ctx, idx, term, x0=None, grad_scale=None):
+    """Minimize f_mu plus sum term(v) over the free-node values x, where v
+    = (K_F x)[anchors] are the cell anchor values; returns x and the
+    solve's report.
 
-    ``extra(x)`` returns the value and gradient of the extra term,
-    ``anchor_hessian(x)`` its Hessian as weights on the cell anchor values
-    (None: the term is linear).  Newton runs from x0; for p >= 2 in one
-    exact stage, for p < 2 through a smoothing continuation: |grad|^2 + eps
-    inside the (p-2)/2 power, and c ((v^2 + delta)^(p/2) - delta^(p/2)) / p
-    for the term c |v|^p / p of each measure row v, consistently in value,
-    gradient and Hessian, so each stage is a smooth convex problem that
-    Newton finishes quadratically.  The first stages take eps = delta =
-    1e-2, 1e-5, 1e-8 h^2; the next keep the context's eps_reg and lower
-    delta by 1e-3 a stage down to MEASURE_DELTA_FLOOR, after the relaxed
-    weights of Diening, Fornasier, Tomasi & Wank (Numer. Math. 2020).  The
-    last stage stops at the solve's tolerances.  Every Newton step sums
-    its Hessian into band storage through the solve's one term list
-    (operators.term_list).
+    ``term(v)`` returns the term's value and its first and second
+    derivatives on each anchor row: they add to the kernel's weights on
+    K's anchor rows, before the one K_F^T product.  The p = 2 profile is
+    one exact Newton step from 0 of the p = 2 energy plus the term's
+    quadratic model at v = 0; at p = 2 it is the minimizer.  Otherwise
+    Newton runs from x0 (None: from that profile); for p >= 2 in one
+    exact stage, for p < 2 through a smoothing continuation: |grad|^2 +
+    eps inside the (p-2)/2 power, and c ((v^2 + delta)^(p/2) -
+    delta^(p/2)) / p for the term c |v|^p / p of each measure row v,
+    consistently in value, gradient and Hessian, so each stage is a
+    smooth convex problem that Newton finishes quadratically.  The first
+    stages take eps = delta = 1e-2, 1e-5, 1e-8 h^2; the next keep the
+    context's eps_reg and lower delta by 1e-3 a stage down to
+    MEASURE_DELTA_FLOOR, after the relaxed weights of Diening, Fornasier,
+    Tomasi & Wank (Numer. Math. 2020).  The last stage stops at the
+    solve's tolerances, relative to grad_scale.  Torsion passes neither
+    x0 nor grad_scale: it starts from the profile, and its scale is the
+    dual norm of its gradient at 0, the load.  Every Hessian, the p = 2
+    one included, is summed into band storage through the solve's one
+    term list (operators.term_list).
     """
     grid, rows, p = ctx.grid, ctx._rows, ctx.p
     K = _energy_map(ctx)[:, idx]
     # built once: K.T would build a new csc transpose on every evaluation
     KT = K.T
-    terms = operators.term_list(K, *hessians.pattern(ctx, K.shape[0]))
+    r, s = hessians.pattern(ctx, K.shape[0])
+    terms = operators.term_list(K, r, s)
     meas = slice(rows.n_grad, K.shape[0])
-    # K's anchor rows are anchor_op's: the extra term's weights go there
+    # K's anchor rows are anchor_op's: the term's weights go there
     anchors = slice(rows.n_grad, rows.n_grad + grid.n_cells)
+
+    if x0 is None or p == 2.0:
+        _, d1, d2 = term(np.zeros(grid.n_cells))
+        df = np.zeros(K.shape[0])
+        df[anchors] = d1
+        g0 = KT @ df
+        # the p = 2 weights, zero on the g g^T cell blocks
+        w = np.zeros(r.size)
+        w[:K.shape[0]] = operators.hessian_diagonal(
+            grid.dim, rows.vol * rows.keep, rows.f, 1.0, 2.0)
+        w[anchors] += d2
+        factor = sla.cholesky_banded(terms.band(w), check_finite=False)
+        x0 = sla.cho_solve_banded((factor, False), -g0, check_finite=False)
+        if p == 2.0:
+            return x0, SolveReport(1, 0.0, True)
+        if grad_scale is None:
+            grad_scale = dual_norm(ctx, g0)
 
     def make_stage(eps, delta):
         ctx_e = replace(ctx, eps_reg=eps)
@@ -139,14 +153,15 @@ def _newton_ladder(ctx, idx, x0, extra, anchor_hessian=None, *,
 
         def value_and_grad(x):
             y, v = rows_at(x)
-            parts = _kernel(ctx_e, y, eps, smooth_f=True)
-            value, grad = extra(x)
+            parts = _kernel(ctx_e, y, smooth_f=True)
+            value, d1, _ = term(v[:grid.n_cells])
             f, df = parts.f + value, parts.df
             if delta is not None:
                 t = v * v + delta
                 f += float(rows.f @ (t ** (p / 2) - delta ** (p / 2))) / p
                 df[meas] = rows.f * v * t ** (p / 2 - 1)
-            return f, KT @ df + grad
+            df[anchors] += d1
+            return f, KT @ df
 
         def hess(x):
             y, v = rows_at(x)
@@ -154,8 +169,7 @@ def _newton_ladder(ctx, idx, x0, extra, anchor_hessian=None, *,
             if delta is not None:
                 t = v * v + delta
                 w[meas] = rows.f * t ** (p / 2 - 2) * ((p - 1) * v * v + delta)
-            if anchor_hessian is not None:
-                w[anchors] += anchor_hessian(x)
+            w[anchors] += term(v[:grid.n_cells])[2]
             return terms.band(w)
 
         return value_and_grad, hess
@@ -218,39 +232,22 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
     if np.any(bcells <= 0):
         raise ValueError("b must be > 0 cellwise")
     ctx = _torsion_context(mu)
-    free = operators.free_node_mask(grid, mu)
-    idx = np.flatnonzero(free)
+    idx = np.flatnonzero(operators.free_node_mask(grid, mu))
     if idx.size == 0:
         return Field(grid, np.zeros(grid.n_nodes)), SolveReport(0, 0.0, True)
 
     p = grid.p
-    vol = grid.cell_volume
-    anchor = operators.anchor_op(grid)[:, idx]
-    anchor_t = anchor.T
-    bflat = bcells.reshape(-1)
-    zfree = z.flat[idx]
-
-    if p == 2.0:
-        A, _, _ = operators.p2_matrices(grid, mu, lebesgue_weights(grid), free)
-        # each node anchors at most one cell: anchor^T diag(d) anchor
-        M = sp.diags(anchor_t @ (vol * bflat))
-        x = spla.spsolve((A + k * M).tocsc(), k * (M @ zfree))
-        return _embed(grid, idx, x), SolveReport(1, 0.0, True)
-
+    c = k * grid.cell_volume * bcells.reshape(-1)
     # z may be nonzero off the free nodes: its anchors there stay fixed
     z_anchor = operators.anchor_op(grid) @ z.flat
 
-    def fidelity(x):
-        diff = anchor @ x - z_anchor
-        return ((k / p) * vol * float(bflat @ np.abs(diff) ** p),
-                k * vol * (anchor_t @ (bflat * _odd(diff, p))))
+    def fidelity(v):
+        diff = v - z_anchor
+        return (float(c @ np.abs(diff) ** p) / p, c * _odd(diff, p),
+                operators.hessian_diagonal(grid.dim, None, c,
+                                           abs_pow(diff, p - 2.0), p))
 
-    def fidelity_hessian(x):
-        hmeas = abs_pow(anchor @ x - z_anchor, p - 2.0)
-        return operators.hessian_diagonal(grid.dim, None, k * vol * bflat,
-                                          hmeas, p)
-
-    x, report = _newton_ladder(
-        ctx, idx, zfree, fidelity, fidelity_hessian,
+    x, report = _convex_solve(
+        ctx, idx, fidelity, z.flat[idx],
         grad_scale=max(k * z.norm_p() ** (p - 1.0), 1.0))
     return _embed(grid, idx, x), report

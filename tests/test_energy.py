@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,9 +255,10 @@ def test_kernel_on_a_stack_is_the_kernel_on_each_row(p, dim):
     Y = np.ascontiguousarray((_energy_map(ctx) @ X.T).T)
     for eps, smooth_f in ((ctx.eps_reg, False), (ctx.eps_reg, True),
                           (0.0, False), (1e-3, True)):
-        stack = _kernel(ctx, Y, eps, smooth_f)
+        ctx_e = replace(ctx, eps_reg=eps)
+        stack = _kernel(ctx_e, Y, smooth_f)
         for j, y in enumerate(Y):
-            one = _kernel(ctx, y, eps, smooth_f)
+            one = _kernel(ctx_e, y, smooth_f)
             for a, b in zip(stack, one):
                 # the same operations row by row: bit-identical
                 np.testing.assert_array_equal(a[j], b)

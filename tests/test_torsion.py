@@ -50,6 +50,30 @@ def test_torsion_against_dense_solve():
     assert np.allclose(w.values[free], dense, atol=1e-12)
 
 
+def test_p2_prox_against_dense_solve():
+    # (A + k M) v = k M z on the free nodes, A from an independent dense
+    # assembly and M the anchor mass vol b of each free node's cell; z is
+    # nonzero off the free nodes too, where it must not enter
+    n, k = 32, 7.0
+    g = GridSpec(1, n, (1.0,), 2.0)
+    rng = np.random.default_rng(4)
+    V = rng.random(n) * 3.0
+    blocked = np.zeros(n, dtype=bool)
+    blocked[[5, 20]] = True
+    b = 0.5 + rng.random(n)
+    z = Field(g, rng.standard_normal(g.n_nodes))
+    v, rep = prox(z, k, CapacitaryMeasure(g, V, blocked), b)
+    assert rep.converged
+    A, _, free = dense_pencil_1d(n, 1.0, V, np.ones(n), np.zeros(n), blocked)
+    # cell c anchors on interior node c - 1
+    mass = g.spacing[0] * b[free + 1]
+    dense = sla.solve(A + k * np.diag(mass), k * mass * z.values[free])
+    assert np.max(np.abs(v.values[free] - dense)) <= 1e-12
+    off = np.setdiff1d(np.arange(g.n_nodes), free)
+    assert off.size and np.all(z.values[off] != 0.0)
+    assert np.all(v.values[off] == 0.0)
+
+
 def test_torsion_fully_blocked():
     g = GridSpec(1, 16, (1.0,), 2.0)
     full = CapacitaryMeasure(g, np.zeros(16), np.ones(16, dtype=bool))
@@ -213,8 +237,9 @@ def test_convex_solves_build_their_transposes_once(monkeypatch):
 
 
 def test_newton_steps_take_banded_hessians_from_one_term_list(monkeypatch):
-    # every Newton step sums its Hessian into LAPACK band storage through
-    # the term list of its solve: no sparse Hessian, no SuperLU, no n x n
+    # every Newton step, the p = 2 one included, sums its Hessian into
+    # LAPACK band storage through the term list of its solve: no sparse
+    # Hessian, no p = 2 pencil, no SuperLU, no n x n
     def counted(module, name, calls):
         original = getattr(module, name)
 
@@ -227,7 +252,8 @@ def test_newton_steps_take_banded_hessians_from_one_term_list(monkeypatch):
     calls, shapes = [], []
     for module, name in ((spla, "spsolve"), (hessians, "hessian_f"),
                          (operators, "term_list"),
-                         (torsion_module, "_newton_ladder")):
+                         (operators, "p2_matrices"),
+                         (torsion_module, "_convex_solve")):
         counted(module, name, calls)
     refine = torsion_module.newton_refine
 
@@ -244,24 +270,24 @@ def test_newton_steps_take_banded_hessians_from_one_term_list(monkeypatch):
 
     monkeypatch.setattr(torsion_module, "newton_refine", refine_recording)
     rng = np.random.default_rng(0)
-    for p, solve in ((3.0, torsion), (1.5, torsion),
-                     (3.0, lambda mu: prox(z, 10.0, mu))):
+    for p, solve in ((3.0, torsion), (1.5, torsion), (2.0, torsion),
+                     (3.0, lambda mu: prox(z, 10.0, mu)),
+                     (2.0, lambda mu: prox(z, 10.0, mu))):
         g = GridSpec(2, 12, (1.0, 1.0), p)
         mu = from_potential(g, rng.uniform(0.0, 3.0, g.n_cells))
         z = field_from_function(g, lambda x, y: np.sin(math.pi * x)
                                 * np.sin(math.pi * y))
         n_free = int(operators.free_node_mask(g, mu).sum())
-        # the p = 2 start's list is cached per grid: build it outside the
-        # count, which is the Newton steps' own list
-        operators.p2_matrices(g, mu, lebesgue_weights(g))
         calls.clear()
         shapes.clear()
         _, rep = solve(mu)
         assert rep.converged
         assert "hessian_f" not in calls
+        assert "spsolve" not in calls and "p2_matrices" not in calls
         assert calls.count("term_list") == 1
-        assert calls.count("_newton_ladder") == 1
-        assert shapes, "no Newton step taken"
+        assert calls.count("_convex_solve") == 1
+        # p = 2 is the one exact step of the solve itself
+        assert bool(shapes) == (p != 2.0), "Newton steps at p = 2"
         for rows, cols in shapes:
             assert cols == n_free and rows - 1 < g.n
 
