@@ -251,15 +251,13 @@ def p2_matrices(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair):
     """
     idx = np.flatnonzero(free_node_mask(grid, mu))
     rows = energy_rows(grid, mu, weights)
-    terms = _p2_terms(grid, mu.atoms, weights.w1_atoms)
-
-    def assemble(w):
-        M = terms.csr(w)
-        # a copy either way, so that eliminate_zeros spares the cache
-        M = M[idx][:, idx] if idx.size < grid.n_nodes else M.copy()
-        M.eliminate_zeros()
-        return M.tocsc()
-
-    diag = lambda hcell, c: hessian_diagonal(grid.dim, hcell, c, 1.0, 2.0)
-    return (assemble(diag(rows.vol * rows.keep, rows.f)),
-            assemble(diag(0.0 * rows.keep, rows.g1 - rows.g2)), idx)
+    A = _p2_terms(grid, mu.atoms, weights.w1_atoms).csr(hessian_diagonal(
+        grid.dim, rows.vol * rows.keep, rows.f, 1.0, 2.0))
+    # a copy either way, so that eliminate_zeros spares the cache
+    A = A[idx][:, idx] if idx.size < grid.n_nodes else A.copy()
+    A.eliminate_zeros()
+    # each measure row selects at most one node, so B is the diagonal
+    # K_meas^T (g1 - g2); tocsc drops its zeros
+    K_meas = energy_map(grid, mu.atoms, weights.w1_atoms)[rows.n_grad:]
+    B = sp.diags((K_meas.T @ (rows.g1 - rows.g2))[idx], format="csc")
+    return A.tocsc(), B, idx

@@ -7,8 +7,10 @@ value is an upper bound for the m-th inf-sup eigenvalue; for p = 2 the
 reduction is exact and computed from the matrix pencil.  For general p the
 inner supremum runs a multistart Riemannian trust-region ascent on the
 unit coefficient sphere, all starts as one stack through the energy kernel
-with exact m x m Hessians; the outer infimum descends on the basis
-vectors, each iteration starting from twice the last accepted step.
+with exact m x m Hessians; the outer infimum descends on m orthonormal
+rows of free-node values, each iteration starting from twice the last
+accepted step.  With N free nodes no sphere of dimension m > N exists, so
+those levels are infeasible at every p.
 Reported eigenpairs are polished by a damped Newton iteration on the
 eigen-equation and certified through their residual.
 
@@ -33,8 +35,6 @@ from plapopt.energy import (
     _energy_map,
     _field_parts,
     _kernel,
-    _node_gradient,
-    _on_all_rows,
     rayleigh,
     residual,
     dual_norm,
@@ -606,34 +606,17 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
 # ----------------------------------------------------------------------
 # the minimax sweep; the first eigenvalue is its level 1
 
-def _probe_fields(ctx: EnergyContext,
-                  rng: np.random.Generator) -> list[Field]:
-    """Heuristic feasibility probes: weight-supported bumps and 12 noise
-    fields."""
-    grid = ctx.grid
-    free = operators.free_node_mask(grid, ctx.mu)
-    probes = []
-    base = np.zeros(grid.n_nodes)
-    support = operators.anchor_op(grid).T @ ctx.weights.w1.reshape(-1)
-    base[free] = support[free]
-    if base.any():
-        probes.append(Field(grid, base))
-    for node, _ in ctx.weights.w1_atoms:
-        v = np.zeros(grid.n_nodes)
-        if free[node]:
-            v[node] = 1.0
-            probes.append(Field(grid, v))
-    for _ in range(12):
-        v = np.zeros(grid.n_nodes)
-        v[free] = rng.standard_normal(int(free.sum()))
-        if v.any():
-            probes.append(Field(grid, v))
-    return probes
-
-
-def _feasible(ctx: EnergyContext, u: Field) -> bool:
-    parts = _field_parts(ctx, u)
-    return parts.g1 - parts.g2 > ctx.feasibility_tol(parts.g1)
+def _probe_rows(ev: _SubspaceEval, idx: np.ndarray,
+                rng: np.random.Generator) -> list[np.ndarray]:
+    """Heuristic feasibility probes on the free nodes idx, those inside
+    the cone: the support of nu1's density, its atoms and 12 noise rows."""
+    ctx = ev.ctx
+    support = operators.anchor_op(ctx.grid).T @ ctx.weights.w1.reshape(-1)
+    P = np.vstack([support[idx],
+                   *[idx == node for node, _ in ctx.weights.w1_atoms],
+                   rng.standard_normal((12, idx.size))])
+    parts = _kernel(ctx, (ev.KM @ P.T).T)
+    return list(P[parts.g1 - parts.g2 > ctx.feasibility_tol(parts.g1)])
 
 
 def _p2_context(ctx: EnergyContext) -> EnergyContext | None:
@@ -722,27 +705,27 @@ def _eigen_minimax_p2(ctx: EnergyContext, m_max: int) -> SpectralResult:
                             INFEASIBLE if complete else UNRESOLVED)
 
 
-def _orthonormal_rows(mat: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(mat.T)
-    return q.T[:mat.shape[0]]
-
-
 def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
                            opts: SolverOptions) -> SpectralResult:
-    grid = ctx.grid
+    """Levels m = 1..min(m_max, N) of the outer minimization, N the number
+    of free nodes.  Every level works on rows of free-node values, seeded
+    by the eigenvectors of the p = 2 pencil or, without a p = 2
+    counterpart, by the probes.  With N free nodes no m-dimensional
+    subspace exists for m > N, so those levels are infeasible, like every
+    level above an infeasible one."""
     rng = np.random.default_rng(seed)
-    idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
+    idx = np.flatnonzero(operators.free_node_mask(ctx.grid, ctx.mu))
+    ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
 
     ctx2 = _p2_context(ctx)
-    init_fields = [] if ctx2 is None else [
-        Field(grid, v.values) for v in _pencil_positive_eigs(ctx2, m_max)[1]]
-    if not init_fields:
-        init_fields = [f for f in _probe_fields(ctx, rng)
-                       if _feasible(ctx, f)][:m_max]
+    seeds = [] if ctx2 is None else [
+        v.flat[idx] for v in _pencil_positive_eigs(ctx2, m_max)[1]]
+    if not seeds:
+        seeds = _probe_rows(ev, idx, rng)
 
     levels = []
-    for m in range(1, m_max + 1):
-        level = _minimax_level(ctx, m, idx, init_fields, rng, opts, seed)
+    for m in range(1, min(m_max, idx.size) + 1):
+        level = _minimax_level(ev, idx, m, seeds, rng, opts, seed)
         if level is None:
             break
         bound, lam, u, res = level
@@ -754,41 +737,40 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
             lam, status = max(bound, prev), UNRESOLVED
         levels.append((float(max(lam, prev)), u, float(res), status,
                        float(bound)))
-    # every level above an infeasible one is infeasible too
     return _spectral_result(levels, m_max, INFEASIBLE)
 
 
-def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
-    """One m-level of the outer minimization; None when infeasible."""
-    grid = ctx.grid
+def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
+                   rng: np.random.Generator, opts: SolverOptions, seed: int):
+    """Level m <= idx.size of the outer minimization; None when infeasible.
 
-    def build_candidate(mat) -> SubspaceCandidate | None:
-        mat = _orthonormal_rows(mat)
-        try:
-            return SubspaceCandidate(
-                tuple(_embed(grid, idx, row[idx]) for row in mat))
-        except ValueError:
-            return None
+    The trial subspace is V, m orthonormal rows of values on the free
+    nodes idx.  The first of MAX_RESTARTS initial ones whose sphere fits
+    in the cone starts the descent: the seed rows filled up with random
+    rows, then fully random rows.  Each outer step moves V along the
+    gradient of the ratio at the argmax xi V.
+    """
+    ctx = ev.ctx
 
-    def initial_matrices():
-        # the seed fields filled up with random rows, then fully random
-        base = [f.flat for f in init_fields[:m]]
+    def orthonormal(mat):
+        return np.linalg.qr(mat.T)[0].T
+
+    def sup(V, warm_xi=None):
+        cand = SubspaceCandidate(tuple(_embed(ctx.grid, idx, row)
+                                       for row in V))
+        return sup_on_sphere(ctx, cand, seed=seed + 101 * m, options=opts,
+                             _warm_xi=warm_xi)
+
+    def initial_subspaces():
+        base = seeds[:m]
         for _ in range(MAX_RESTARTS):
-            rows = list(base)
-            while len(rows) < m:
-                v = np.zeros(grid.n_nodes)
-                v[idx] = rng.standard_normal(idx.size)
-                rows.append(v)
-            yield np.stack(rows)
+            yield orthonormal(np.vstack(
+                [*base, rng.standard_normal((m - len(base), idx.size))]))
             base = []
 
-    for mat in initial_matrices():
-        cand = build_candidate(mat)
-        if cand is None:
-            continue
+    for V in initial_subspaces():
         try:
-            val, xi = sup_on_sphere(ctx, cand, seed=seed + 101 * m,
-                                    options=opts)
+            val, xi = sup(V)
         except InfeasibleSubspace:
             continue
         break
@@ -797,10 +779,8 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
 
     accepted_step = None
     for _ in range(opts.max_outer_iter):
-        parts = _field_parts(ctx, cand.combine(xi))
-        gradR = _node_gradient(ctx, parts.df - val * _on_all_rows(
-            ctx, parts.dg1 - parts.dg2)).flat / (parts.g1 - parts.g2)
-        mat = cand.matrix()
+        parts = ev.parts(xi @ V)
+        gradR = ev._ratio_gradient(parts, val, parts.g1 - parts.g2)
         scale = np.linalg.norm(gradR)
         if scale <= 1e-14:
             break
@@ -808,24 +788,20 @@ def _minimax_level(ctx, m, idx, init_fields, rng, opts, seed):
         # the one kept
         step = 1.0 / scale if accepted_step is None else 2.0 * accepted_step
         for _ in range(6):
-            new_mat = mat - step * np.outer(xi, gradR)
-            cand_new = build_candidate(new_mat)
-            if cand_new is not None:
-                try:
-                    val_new, xi_new = sup_on_sphere(
-                        ctx, cand_new, seed=seed + 101 * m, options=opts,
-                        _warm_xi=xi)
-                except InfeasibleSubspace:
-                    val_new = math.inf
-                if val_new < val * (1.0 - 1e-12):
-                    break
+            V_new = orthonormal(V - step * np.outer(xi, gradR))
+            try:
+                val_new, xi_new = sup(V_new, xi)
+            except InfeasibleSubspace:
+                val_new = math.inf
+            if val_new < val * (1.0 - 1e-12):
+                break
             step *= 0.25
         else:
             break           # no trial lowered the supremum
-        prev, val, cand, xi = val, val_new, cand_new, xi_new
+        prev, val, V, xi = val, val_new, V_new, xi_new
         accepted_step = step
         if prev - val <= 1e-7 * max(abs(val), 1.0):
             break
 
-    lam, u, res = polish_eigenpair(ctx, cand.combine(xi))
+    lam, u, res = polish_eigenpair(ctx, _embed(ctx.grid, idx, xi @ V))
     return val, lam, u, res

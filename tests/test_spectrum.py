@@ -14,6 +14,7 @@ from plapopt.measure import (
     zero_measure,
 )
 from plapopt.energy import EnergyContext, rayleigh
+from plapopt.operators import free_node_mask
 from plapopt.spectrum import (
     InfeasibleSubspace,
     SolverOptions,
@@ -687,6 +688,34 @@ def test_a_level_tries_each_initial_subspace_once(monkeypatch):
     for i in range(len(bases)):
         for j in range(i):
             assert not np.array_equal(bases[i], bases[j]), (i, j)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_levels_above_the_free_node_count_are_infeasible(p):
+    # 1D n = 4 has 3 interior nodes: no subspace of dimension 4..6 exists,
+    # so those levels are infeasible at every p, as the p = 2 pencil says
+    result = eigen_minimax(plain_ctx(4, p=p), 6, seed=0)
+    exact = eigen_minimax(plain_ctx(4), 6, seed=0)
+    assert exact.statuses[3:] == ["infeasible"] * 3
+    assert result.statuses[3:] == exact.statuses[3:]
+    assert result.lambdas[3:] == [math.inf] * 3
+    assert all(s != "infeasible" for s in result.statuses[:3])
+    assert all(math.isfinite(lam) for lam in result.lambdas[:3])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_a_kept_block_with_two_free_nodes_has_two_levels(p):
+    # 2D n = 8, every cell blocked but a 2 x 3 block: 2 free nodes
+    g = GridSpec(2, 8, (1.0, 1.0), p)
+    blocked = np.ones(g.cells_shape, dtype=bool)
+    blocked[2:4, 2:5] = False
+    mu = CapacitaryMeasure(g, 0.0, blocked)
+    assert np.count_nonzero(free_node_mask(g, mu)) == 2
+    result = eigen_minimax(EnergyContext(g, mu, lebesgue_weights(g)), 3,
+                           seed=0, options=FAST)
+    assert all(math.isfinite(lam) for lam in result.lambdas[:2])
+    assert result.statuses[2] == "infeasible"
+    assert result.lambdas[2] == math.inf
 
 
 def atom_only_ctx(node):
