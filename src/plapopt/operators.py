@@ -242,6 +242,19 @@ def _p2_terms(grid: GridSpec, mu_atoms: Atoms, w1_atoms: Atoms) -> Terms:
     return term_list(K, diag, diag)
 
 
+def _p2_parts(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair):
+    """The p = 2 pencil's cached term list with A's weights on K's rows,
+    the diagonal of B on the free nodes, and the free nodes idx."""
+    idx = np.flatnonzero(free_node_mask(grid, mu))
+    rows = energy_rows(grid, mu, weights)
+    a = hessian_diagonal(grid.dim, rows.vol * rows.keep, rows.f, 1.0, 2.0)
+    # each measure row selects at most one node, so B is the diagonal
+    # K_meas^T (g1 - g2)
+    K_meas = energy_map(grid, mu.atoms, weights.w1_atoms)[rows.n_grad:]
+    b = (K_meas.T @ (rows.g1 - rows.g2))[idx]
+    return _p2_terms(grid, mu.atoms, weights.w1_atoms), a, b, idx
+
+
 def p2_matrices(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair):
     """Stiffness/weight pencil of the quadratic (p=2) energies.
 
@@ -249,15 +262,38 @@ def p2_matrices(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair):
     u^T A u = 2 f_mu(u) and u^T B u = 2 (g1 - g2)(u) for p = 2: the
     Hessians of f and of g1 - g2, whose p = 2 weights do not depend on u.
     """
-    idx = np.flatnonzero(free_node_mask(grid, mu))
-    rows = energy_rows(grid, mu, weights)
-    A = _p2_terms(grid, mu.atoms, weights.w1_atoms).csr(hessian_diagonal(
-        grid.dim, rows.vol * rows.keep, rows.f, 1.0, 2.0))
+    terms, a, b, idx = _p2_parts(grid, mu, weights)
+    A = terms.csr(a)
     # a copy either way, so that eliminate_zeros spares the cache
     A = A[idx][:, idx] if idx.size < grid.n_nodes else A.copy()
     A.eliminate_zeros()
-    # each measure row selects at most one node, so B is the diagonal
-    # K_meas^T (g1 - g2); tocsc drops its zeros
-    K_meas = energy_map(grid, mu.atoms, weights.w1_atoms)[rows.n_grad:]
-    B = sp.diags((K_meas.T @ (rows.g1 - rows.g2))[idx], format="csc")
-    return A.tocsc(), B, idx
+    # tocsc drops B's zeros
+    return A.tocsc(), sp.diags(b, format="csc"), idx
+
+
+def _band_on(band: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The upper band of the principal submatrix on the increasing nodes
+    idx, in the same (bw + 1, idx.size) storage.  Since idx[c] - idx[r] >=
+    c - r, entry (r, c) is the full band's entry of (idx[r], idx[c]) when
+    those lie within bw of each other and 0 otherwise."""
+    bw = band.shape[0] - 1
+    pos = np.full(band.shape[1], -1)
+    pos[idx] = np.arange(idx.size)
+    out = np.zeros((bw + 1, idx.size))
+    # a stencil fills few of the band's rows; row bw - gap pairs node j
+    # with node j - gap
+    for row in np.flatnonzero(band.any(axis=1)):
+        src = idx - (bw - row)
+        r = np.where(src >= 0, pos[np.maximum(src, 0)], -1)
+        c = np.flatnonzero(r >= 0)
+        out[bw - c + r[c], c] = band[row, idx[c]]
+    return out
+
+
+def p2_band(grid: GridSpec, mu: CapacitaryMeasure, weights: WeightPair):
+    """The pencil of p2_matrices as ``(band, b, idx)``: A in LAPACK upper
+    band storage (bw + 1, N) with the grid's bandwidth bw, bit for bit the
+    upper entries of A, and the diagonal b of B."""
+    terms, a, b, idx = _p2_parts(grid, mu, weights)
+    band = terms.band(a)
+    return (_band_on(band, idx) if idx.size < grid.n_nodes else band), b, idx

@@ -144,16 +144,20 @@ def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
     """Positive pencil directions: lambda_m = 1 / beta_m with beta the
     m-th largest positive eigenvalue of B u = beta A u on free nodes.
     A and B come from the cached p = 2 pattern.  Above DENSE_DOF_LIMIT one
-    Lanczos call solves the pencil, every step on one minimum-degree LU of A.
+    Lanczos call solves the pencil on a banded Cholesky factor of A.
     Returns (lambdas, fields, complete); complete is False when the Lanczos
     iteration left requested pairs unconverged (the converged ones are
     kept), so missing levels are unknown rather than absent."""
     grid = ctx.grid
-    A, B, idx = operators.p2_matrices(grid, ctx.mu, ctx.weights)
-    n = idx.size
+    n = np.count_nonzero(operators.free_node_mask(grid, ctx.mu))
+    if n <= DENSE_DOF_LIMIT:
+        A, B, idx = operators.p2_matrices(grid, ctx.mu, ctx.weights)
+        b = B.diagonal()
+    else:
+        band, b, idx = operators.p2_band(grid, ctx.mu, ctx.weights)
     # B is diagonal (anchor quadrature), so without a positive entry it is
     # negative semidefinite and the pencil has no positive direction
-    if n == 0 or not np.any(B.data > 0):
+    if n == 0 or not np.any(b > 0):
         return [], [], True
     complete = True
     if n <= DENSE_DOF_LIMIT:
@@ -162,16 +166,7 @@ def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
         # and the general-p levels seeded from that basis move with it
         beta, U = sla.eigh(B.toarray(), A.toarray())    # U^T A U = I
     else:
-        # A is SPD (Dirichlet), so the mode M = A holds for every sign of
-        # B; MMD fills less than COLAMD; the fixed v0 keeps reruns identical
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-        Minv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-        try:
-            beta, U = spla.eigsh(B, k=min(m_max, n - 1), M=A, Minv=Minv,
-                                 which="LA", tol=0,
-                                 v0=np.full(n, 1.0 / math.sqrt(n)))
-        except spla.ArpackNoConvergence as err:
-            beta, U, complete = err.eigenvalues, err.eigenvectors, False
+        beta, U, complete = _banded_pencil(band, b, min(m_max, n - 1))
     order = np.argsort(-beta)
     lams, vecs = [], []
     for j in order[:max(m_max, 0)]:
@@ -180,6 +175,31 @@ def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
         lams.append(1.0 / beta[j])
         vecs.append(_embed(grid, idx, U[:, j]))
     return lams, vecs, complete
+
+
+def _banded_pencil(band: np.ndarray, b: np.ndarray, k: int):
+    """The k largest beta of diag(b) u = beta A u, A SPD given by its upper
+    band: with A = R^T R they are the eigenvalues of the symmetric
+    R^-T diag(b) R^-1, for every sign of b, so one standard-mode Lanczos
+    call finds them, each step two banded triangular solves.  Returns
+    (beta, U, complete) with U = R^-1 Y, so U^T A U = I; complete is False
+    when ARPACK stopped early and only its converged pairs are returned.
+    The factor overwrites band.  The fixed v0 keeps reruns identical."""
+    R = sla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    tbtrs = sla.lapack.dtbtrs
+    n = b.size
+    C = spla.LinearOperator(
+        (n, n), dtype=float,
+        matvec=lambda y: tbtrs(R, b * tbtrs(R, np.ravel(y))[0],
+                               trans="T")[0])
+    try:
+        beta, Y = spla.eigsh(C, k=k, which="LA", tol=0,
+                             v0=np.full(n, 1.0 / math.sqrt(n)))
+        complete = True
+    except spla.ArpackNoConvergence as err:
+        beta, Y, complete = err.eigenvalues, err.eigenvectors, False
+    # LAPACK's tbtrs takes no empty right-hand side
+    return beta, (tbtrs(R, Y)[0] if beta.size else Y), complete
 
 
 def _normalize(ctx: EnergyContext, u: Field) -> Field:
@@ -735,8 +755,9 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
             # the polished pair slid below the previous level; keep the
             # ordering by reporting the subspace bound, uncertified
             lam, status = max(bound, prev), UNRESOLVED
-        levels.append((float(max(lam, prev)), u, float(res), status,
-                       float(bound)))
+        # f, g1 and g2 are even, so the flip moves no lambda or residual
+        levels.append((float(max(lam, prev)), _positive_peak(u), float(res),
+                       status, float(bound)))
     return _spectral_result(levels, m_max, INFEASIBLE)
 
 

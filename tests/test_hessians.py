@@ -316,3 +316,33 @@ def test_p2_pencil_is_the_sparse_product_bit_for_bit(dim):
     arrays = [x for x in terms if not isinstance(x, int)]
     assert len(arrays) == len(terms) - 1
     assert not any(arr.flags.writeable for arr in arrays)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_p2_band_is_the_upper_band_of_the_pencil_bit_for_bit(dim):
+    # the band gathered onto the free nodes holds A's upper entries, bit
+    # for bit, with blocked cells that leave gaps longer than the
+    # bandwidth between neighbouring free nodes; b is B's diagonal
+    rng = np.random.default_rng(14)
+    if dim == 1:
+        g = GridSpec(1, 40, (1.3,), 2.0)
+        atoms, w1_atoms = ((3, 0.7), (21, 0.2)), ((30, 0.4),)
+    else:
+        g = GridSpec(2, 20, (1.0, 1.3), 2.0)
+        atoms, w1_atoms = (), ()
+    blocked = rng.random(g.cells_shape) < 0.15
+    mu = CapacitaryMeasure(g, 2.0 * rng.random(g.cells_shape), blocked,
+                           atoms)
+    weights = WeightPair(g, rng.random(g.cells_shape), w1_atoms,
+                         1.5 * rng.random(g.cells_shape))
+    A, B, idx = p2_matrices(g, mu, weights)
+    band, b, band_idx = operators.p2_band(g, mu, weights)
+    bw = band.shape[0] - 1
+    assert np.array_equal(idx, band_idx) and idx.size < g.n_nodes
+    assert band.shape == (bw + 1, idx.size)
+    upper = sp.triu(A).tocoo()
+    assert np.all(upper.col - upper.row <= bw)
+    ref = np.zeros_like(band)
+    ref[bw + upper.row - upper.col, upper.col] = upper.data
+    assert band.tobytes() == ref.tobytes()
+    assert b.tobytes() == B.diagonal().tobytes()
