@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from plapopt import __version__
-from plapopt.grid import GridSpec, Field
+from plapopt.grid import GridSpec
 from plapopt.measure import (
     CapacitaryMeasure,
     WeightPair,
@@ -38,11 +38,12 @@ from plapopt.energy import EnergyContext
 from plapopt.torsion import torsion
 from plapopt.spectrum import M_MAX_LIMIT, SolverOptions, eigen_minimax
 from plapopt.gamma import blocked_limit_sequence, lsc_check, usc_check, \
-    psi_lsc_check, solve_tail
+    psi_lsc_check, solve_tail, DEFAULT_SLACK, DEFAULT_TAIL
 from plapopt.optimize import (
     ObjectiveSpec,
     ConstraintSpec,
     InfeasibleConstraint,
+    MAX_OUTER_ITER,
     optimize_potential,
     optimize_set,
 )
@@ -218,8 +219,8 @@ def _read_gamma(sec: _Section, grid: GridSpec, weights: WeightPair) -> dict:
         raise ValueError("run_usc needs w2 = 0")
     return {"sequence": sequence, "run_usc": run_usc,
             "m": sec.take("m", _integer(1, M_MAX_LIMIT), 1),
-            "slack": sec.take("slack", _number, 1e-3),
-            "tail": sec.take("tail", _integer(1), 3),
+            "slack": sec.take("slack", _number, DEFAULT_SLACK),
+            "tail": sec.take("tail", _integer(1), DEFAULT_TAIL),
             "psi": sec.section("psi", _read_psi, {})}
 
 
@@ -238,7 +239,7 @@ def _read_optimizer(sec: _Section) -> dict:
     walls = sec.take("soft_walls", _numbers, [1e2, 1e4])
     if any(s < 0 for s in walls):
         raise ValueError("soft_walls must be >= 0")
-    return {"max_iter": sec.take("max_iter", _integer(0), 200),
+    return {"max_iter": sec.take("max_iter", _integer(0), MAX_OUTER_ITER),
             "n_starts": sec.take("n_starts", _integer(1), 3),
             "soft_walls": walls,
             "max_thresh_iter": sec.take("max_thresh_iter", _integer(1), 30)}
@@ -267,6 +268,10 @@ def validate_config(config, subcommand: str) -> dict:
     if subcommand.startswith("optimize-"):
         inputs["objective"] = top.section("objective", _read_objective)
         inputs["constraint"] = top.section("constraint", _read_constraint)
+        kind = "volume" if subcommand == "optimize-set" else "psi_budget"
+        if inputs["constraint"].kind != kind:
+            raise ValidationError(f"constraint.kind: {subcommand} takes "
+                                  f"{kind!r}")
         inputs["optimizer"] = top.section("options", _read_optimizer, {})
     top.close()
     return inputs
@@ -308,32 +313,15 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def dump_field(field: Field, fmt: str, path: Path):
-    """Write a node field as CSV (x[,y],value) or 8-bit PGM (2D only)."""
-    _dump(field.grid, field.grid.node_coords(), field.values, fmt, path)
-
-
-def _dump(grid: GridSpec, coords: np.ndarray, values: np.ndarray, fmt: str,
-          path: Path):
-    """Write node or cell values as CSV over their coordinates, or as an
-    8-bit PGM image (2D only)."""
-    if fmt == "csv":
-        lines = (",".join(_fmt(c) for c in xy) + "," + _fmt(v) for xy, v
-                 in zip(coords.reshape(-1, grid.dim), values.reshape(-1)))
-        Path(path).write_text("\n".join(lines) + "\n")
-    elif fmt == "pgm":
-        if grid.dim != 2:
-            raise ValueError("pgm dumps need 2D data")
-        _write_pgm(values, path)
-    else:
-        raise ValueError(f"unknown dump format {fmt!r}")
-
-
 def _dump_formats(out: Path, stem: str, grid: GridSpec, coords: np.ndarray,
                   values: np.ndarray):
-    """stem.csv, plus stem.pgm on a 2D grid."""
-    for fmt in ("csv", "pgm")[:grid.dim]:
-        _dump(grid, coords, values, fmt, out / f"{stem}.{fmt}")
+    """stem.csv, node or cell values over their coordinates, plus
+    stem.pgm, an 8-bit image of them, on a 2D grid."""
+    lines = (",".join(_fmt(c) for c in xy) + "," + _fmt(v) for xy, v
+             in zip(coords.reshape(-1, grid.dim), values.reshape(-1)))
+    (out / f"{stem}.csv").write_text("\n".join(lines) + "\n")
+    if grid.dim == 2:
+        _write_pgm(values, out / f"{stem}.pgm")
 
 
 def _write_pgm(values: np.ndarray, path: Path):
@@ -347,14 +335,6 @@ def _write_pgm(values: np.ndarray, path: Path):
     with open(path, "wb") as fh:
         fh.write(header.encode())
         fh.write(img.tobytes())
-
-
-def read_field_csv(grid: GridSpec, path: Path) -> Field:
-    values = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            values.append(float(line.split(",")[-1]))
-    return Field(grid, np.asarray(values))
 
 
 # ----------------------------------------------------------------------
@@ -539,10 +519,13 @@ def main(argv=None) -> int:
         inputs["seed"] = args.seed
 
     out = Path(args.out)
+    # runners create out only after their solve: check it before
+    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+        say(f"error: --out: {out} is a file or lies under one")
+        return EXIT_VALIDATION
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     try:
-        # runners create out only after their solve returns
         code = _RUNNERS[args.subcommand](inputs, out, timings)
     except InfeasibleConstraint as exc:
         say(f"error: constraint: {exc}")

@@ -27,7 +27,6 @@ from plapopt.measure import (
     PsiSpec,
     from_potential,
     from_quasi_open,
-    leq,
     psi_volume,
 )
 from plapopt.energy import EnergyContext
@@ -91,10 +90,6 @@ def blocked_limit_sequence(grid: GridSpec, mask, s_values) -> MeasureSequence:
     return MeasureSequence("growing-potential", elements,
                            from_quasi_open(grid, mask),
                            {"s_values": s_values})
-
-
-def custom_sequence(elements, limit) -> MeasureSequence:
-    return MeasureSequence("custom", tuple(elements), limit)
 
 
 def _tail(seq_values: list, tail: int) -> list:
@@ -268,8 +263,3 @@ def psi_lsc_check(seq: MeasureSequence, psi: PsiSpec, *,
         check="psi-lsc", m=None, limit_value=limit_value,
         tail_values=values, estimate=est, margin=float(margin),
         slack=slack, passed=passed, inconclusive=False)
-
-
-def monotone_under_leq(seq: MeasureSequence) -> bool:
-    """True when consecutive elements are ordered under leq."""
-    return all(leq(a, b) for a, b in zip(seq.elements, seq.elements[1:]))

@@ -115,21 +115,11 @@ class Field:
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
 
-    def norm_p(self, p: float | None = None) -> float:
+    def norm_p(self) -> float:
         """Discrete L^p norm (anchor quadrature of |u|^p)."""
-        p = self.grid.p if p is None else p
+        p = self.grid.p
         cells = anchor_values(self.grid, self.values)
         return float(integrate(self.grid, np.abs(cells) ** p) ** (1.0 / p))
-
-
-def field_from_function(grid: GridSpec, fn) -> Field:
-    """Sample a callable of the coordinates at the interior nodes."""
-    coords = grid.node_coords()
-    if grid.dim == 1:
-        vals = fn(coords[..., 0])
-    else:
-        vals = fn(coords[..., 0], coords[..., 1])
-    return Field(grid, np.asarray(vals, dtype=float))
 
 
 def pad_with_boundary(grid: GridSpec, values: np.ndarray) -> np.ndarray:

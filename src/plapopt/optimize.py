@@ -13,7 +13,7 @@ count of the set is pinned exactly throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from plapopt.spectrum import (
     SolverOptions,
     eigen_minimax,
     FINITE,
+    M_MAX_LIMIT,
 )
 
 BUDGET_PROJECT_TOL = 1e-9
@@ -65,8 +66,8 @@ class ObjectiveSpec:
                 raise ValueError("weights must be >= 0")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "k", len(w))
-        if not 1 <= self.k <= 6:
-            raise ValueError("objective index k must be in 1..6")
+        if not 1 <= self.k <= M_MAX_LIMIT:
+            raise ValueError(f"objective index k must be in 1..{M_MAX_LIMIT}")
 
     def active_indices(self, lambdas=None) -> list[int]:
         """1-based eigenvalue indices steering the descent direction."""
@@ -321,10 +322,13 @@ def optimize_set(grid: GridSpec, weights: WeightPair,
                  max_thresh_iter: int = 30) -> OptimizeResult:
     """Minimize the objective over cell sets of exactly c / h^d cells.
 
-    Iterative thresholding on the aggregated eigenfield density, with a
-    soft-wall continuation (finite potentials on the complement) before
-    hard-blocked solves.  Candidates are accepted only when they improve
-    the hard objective, starting from several seeded initial blobs.
+    Iterative thresholding on the aggregated eigenfield density (Oudet,
+    ESAIM COCV 2004), from several seeded initial blobs: each stage solves
+    with the potential 0 on the set and the wall s on its complement,
+    keeps the n_keep cells of largest density, and moves to the next wall
+    once the set repeats or after max_thresh_iter solves.  The walls are
+    soft_walls, then +inf, the hard-blocked complement; only hard solves
+    are candidates, accepted when they improve the best objective.
     """
     if constraint.kind != "volume":
         raise ValueError("optimize_set needs a volume constraint")
@@ -336,60 +340,42 @@ def optimize_set(grid: GridSpec, weights: WeightPair,
         raise InfeasibleConstraint("volume smaller than one cell")
     n_keep = min(n_keep, grid.n_cells)
 
-    tie_break = np.arange(grid.n_cells, dtype=float)
-
-    def hard_eval(mask):
-        mu = from_quasi_open(grid, mask)
-        spec = _solve_spectrum(grid, mu, weights, k, seed, opts)
-        return spec, objective_eval(objective, spec.lambdas)
-
     if n_keep == grid.n_cells:
         mask = np.ones(grid.cells_shape, dtype=bool)
-        spec, obj = hard_eval(mask)
+        spec = _solve_spectrum(grid, from_quasi_open(grid, mask), weights, k,
+                               seed, opts)
+        obj = objective_eval(objective, spec.lambdas)
         return OptimizeResult(
             potential=None, mask=mask, spectrum=spec,
             history=[HistoryRow(0, obj, constraint.c, True, "hard")],
             objective=obj, constraint_value=n_keep * grid.cell_volume,
             converged=True)
 
+    tie_break = np.arange(grid.n_cells, dtype=float)
     best = None  # (objective, mask, spectrum)
     history: list[HistoryRow] = []
-    it = 0
-
-    def consider(mask, spec, obj, stage):
-        nonlocal best, it
-        accepted = best is None or obj < best[0] * (1.0 - 1e-12)
-        if accepted:
-            best = (obj, mask.copy(), spec)
-        history.append(HistoryRow(it, best[0], n_keep * grid.cell_volume,
-                                  accepted, stage))
-        it += 1
-        return accepted
-
     for start in range(n_starts):
         rng = np.random.default_rng(seed * 1009 + start)
         mask = _initial_blob(grid, n_keep, rng, tie_break)
-        for s in soft_walls:
+        for s in (*soft_walls, math.inf):
             for _ in range(max_thresh_iter):
-                V = np.where(mask, 0.0, s)
-                spec = _solve_spectrum(grid, from_potential(grid, V),
-                                       weights, k, seed, opts)
-                dens = _aggregate_density(grid, spec,
-                                          objective.active_indices(
-                                              spec.lambdas))
+                # a wall of +inf blocks the complement: from_quasi_open(mask)
+                mu = from_potential(grid, np.where(mask, 0.0, s))
+                spec = _solve_spectrum(grid, mu, weights, k, seed, opts)
+                if s == math.inf:
+                    obj = objective_eval(objective, spec.lambdas)
+                    accepted = best is None or obj < best[0] * (1.0 - 1e-12)
+                    if accepted:
+                        best = (obj, mask.copy(), spec)
+                    history.append(HistoryRow(
+                        len(history), best[0], n_keep * grid.cell_volume,
+                        accepted, f"start{start}:hard"))
+                dens = _aggregate_density(
+                    grid, spec, objective.active_indices(spec.lambdas))
                 new_mask = _threshold_mask(grid, dens, n_keep, tie_break)
                 if np.array_equal(new_mask, mask):
                     break
                 mask = new_mask
-        for _ in range(max_thresh_iter):
-            spec, obj = hard_eval(mask)
-            consider(mask, spec, obj, f"start{start}:hard")
-            dens = _aggregate_density(grid, spec,
-                                      objective.active_indices(spec.lambdas))
-            new_mask = _threshold_mask(grid, dens, n_keep, tie_break)
-            if np.array_equal(new_mask, mask):
-                break
-            mask = new_mask
 
     obj, mask, spec = best
     return OptimizeResult(potential=None, mask=mask, spectrum=spec,

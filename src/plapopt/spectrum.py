@@ -145,9 +145,11 @@ def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
     m-th largest positive eigenvalue of B u = beta A u on free nodes.
     A and B come from the cached p = 2 pattern.  Above DENSE_DOF_LIMIT one
     Lanczos call solves the pencil on a banded Cholesky factor of A.
-    Returns (lambdas, fields, complete); complete is False when the Lanczos
-    iteration left requested pairs unconverged (the converged ones are
-    kept), so missing levels are unknown rather than absent."""
+    Returns (lambdas, rows, idx, complete): rows[j] holds the values of
+    the j-th direction on the free nodes idx, scaled to u^T A u = 1, and
+    complete is False when the Lanczos iteration left requested pairs
+    unconverged (the converged ones are kept), so missing levels are
+    unknown rather than absent."""
     grid = ctx.grid
     n = np.count_nonzero(operators.free_node_mask(grid, ctx.mu))
     if n <= DENSE_DOF_LIMIT:
@@ -158,7 +160,7 @@ def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
     # B is diagonal (anchor quadrature), so without a positive entry it is
     # negative semidefinite and the pencil has no positive direction
     if n == 0 or not np.any(b > 0):
-        return [], [], True
+        return [], [], idx, True
     complete = True
     if n <= DENSE_DOF_LIMIT:
         # LAPACK, not ARPACK, below the limit: the two return different
@@ -168,13 +170,13 @@ def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
     else:
         beta, U, complete = _banded_pencil(band, b, min(m_max, n - 1))
     order = np.argsort(-beta)
-    lams, vecs = [], []
+    lams, rows = [], []
     for j in order[:max(m_max, 0)]:
         if beta[j] <= 1e-13 * max(abs(beta[order[0]]), 1e-300):
             break
         lams.append(1.0 / beta[j])
-        vecs.append(_embed(grid, idx, U[:, j]))
-    return lams, vecs, complete
+        rows.append(U[:, j])
+    return lams, rows, idx, complete
 
 
 def _banded_pencil(band: np.ndarray, b: np.ndarray, k: int):
@@ -712,11 +714,11 @@ def _positive_peak(u: Field) -> Field:
 
 
 def _eigen_minimax_p2(ctx: EnergyContext, m_max: int) -> SpectralResult:
-    lams, vecs, complete = _pencil_positive_eigs(ctx, m_max)
+    lams, rows, idx, complete = _pencil_positive_eigs(ctx, m_max)
     levels = []
-    for lam, v in zip(lams, vecs):
+    for lam, row in zip(lams, rows):
         # f, g1 and g2 are even, so the flip moves no lambda or residual
-        u = _positive_peak(_normalize(ctx, v))
+        u = _positive_peak(_normalize(ctx, _embed(ctx.grid, idx, row)))
         lam = float(lam)
         res = residual(ctx, u, lam)
         status = FINITE if _certified(ctx, u, lam, res) else UNRESOLVED
@@ -738,8 +740,8 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
     ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
 
     ctx2 = _p2_context(ctx)
-    seeds = [] if ctx2 is None else [
-        v.flat[idx] for v in _pencil_positive_eigs(ctx2, m_max)[1]]
+    # ctx2 blocks the same cells, so its free nodes are idx too
+    seeds = [] if ctx2 is None else _pencil_positive_eigs(ctx2, m_max)[1]
     if not seeds:
         seeds = _probe_rows(ev, idx, rng)
 

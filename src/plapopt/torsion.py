@@ -72,47 +72,44 @@ def torsion(mu: CapacitaryMeasure) -> tuple[Field, SolveReport]:
     p = 2 profile, through a smoothing continuation of the Dirichlet and
     measure terms for p < 2 (_convex_solve).
     """
-    grid = mu.grid
-    ctx = _torsion_context(mu)
-    idx = np.flatnonzero(operators.free_node_mask(grid, mu))
-    if idx.size == 0:
-        return Field(grid, np.zeros(grid.n_nodes)), SolveReport(0, 0.0, True)
-
-    vol = grid.cell_volume
+    vol = mu.grid.cell_volume
     # the load -int v: -vol on each anchor row
     load = lambda v: (-vol * float(v.sum()), np.full(v.size, -vol),
                       np.zeros(v.size))
-    x, report = _convex_solve(ctx, idx, load)
-    return _embed(grid, idx, x), report
+    return _convex_solve(_torsion_context(mu), load)
 
 
-def _convex_solve(ctx, idx, term, x0=None, grad_scale=None):
-    """Minimize f_mu plus sum term(v) over the free-node values x, where v
-    = (K_F x)[anchors] are the cell anchor values; returns x and the
-    solve's report.
+def _convex_solve(ctx, term, z=None, grad_scale=None):
+    """Minimize f_mu plus sum term(v) over the values x on the free nodes
+    of ctx.mu, where v = (K_F x)[anchors] are the cell anchor values;
+    returns the minimizer as a Field, zero off the free nodes (everywhere
+    when no node is free), and the solve's report.
 
     ``term(v)`` returns the term's value and its first and second
     derivatives on each anchor row: they add to the kernel's weights on
     K's anchor rows, before the one K_F^T product.  The p = 2 profile is
     one exact Newton step from 0 of the p = 2 energy plus the term's
     quadratic model at v = 0; at p = 2 it is the minimizer.  Otherwise
-    Newton runs from x0 (None: from that profile); for p >= 2 in one
-    exact stage, for p < 2 through a smoothing continuation: |grad|^2 +
-    eps inside the (p-2)/2 power, and c ((v^2 + delta)^(p/2) -
-    delta^(p/2)) / p for the term c |v|^p / p of each measure row v,
-    consistently in value, gradient and Hessian, so each stage is a
-    smooth convex problem that Newton finishes quadratically.  The first
-    stages take eps = delta = 1e-2, 1e-5, 1e-8 h^2; the next keep the
-    context's eps_reg and lower delta by 1e-3 a stage down to
-    MEASURE_DELTA_FLOOR, after the relaxed weights of Diening, Fornasier,
-    Tomasi & Wank (Numer. Math. 2020).  The last stage stops at the
+    Newton runs from the field z cut to the free nodes (None: from that
+    profile); for p >= 2 in one exact stage, for p < 2 through a
+    smoothing continuation: |grad|^2 + eps inside the (p-2)/2 power, and
+    c ((v^2 + delta)^(p/2) - delta^(p/2)) / p for the term c |v|^p / p
+    of each measure row v, consistently in value, gradient and Hessian,
+    so each stage is a smooth convex problem that Newton finishes
+    quadratically.  The first stages take eps = delta = 1e-2, 1e-5,
+    1e-8 h^2; the next keep the context's eps_reg and lower delta by 1e-3
+    a stage down to MEASURE_DELTA_FLOOR, after the relaxed weights of
+    Diening, Fornasier, Tomasi & Wank (Numer. Math. 2020).  The last stage stops at the
     solve's tolerances, relative to grad_scale.  Torsion passes neither
-    x0 nor grad_scale: it starts from the profile, and its scale is the
+    z nor grad_scale: it starts from the profile, and its scale is the
     dual norm of its gradient at 0, the load.  Every Hessian, the p = 2
     one included, is summed into band storage through the solve's one
     term list (operators.term_list).
     """
     grid, rows, p = ctx.grid, ctx._rows, ctx.p
+    idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
+    if idx.size == 0:
+        return Field(grid, np.zeros(grid.n_nodes)), SolveReport(0, 0.0, True)
     K = _energy_map(ctx)[:, idx]
     # built once: K.T would build a new csc transpose on every evaluation
     KT = K.T
@@ -122,6 +119,7 @@ def _convex_solve(ctx, idx, term, x0=None, grad_scale=None):
     # K's anchor rows are anchor_op's: the term's weights go there
     anchors = slice(rows.n_grad, rows.n_grad + grid.n_cells)
 
+    x0 = None if z is None else z.flat[idx]
     if x0 is None or p == 2.0:
         _, d1, d2 = term(np.zeros(grid.n_cells))
         df = np.zeros(K.shape[0])
@@ -135,7 +133,7 @@ def _convex_solve(ctx, idx, term, x0=None, grad_scale=None):
         factor = sla.cholesky_banded(terms.band(w), check_finite=False)
         x0 = sla.cho_solve_banded((factor, False), -g0, check_finite=False)
         if p == 2.0:
-            return x0, SolveReport(1, 0.0, True)
+            return _embed(grid, idx, x0), SolveReport(1, 0.0, True)
         if grad_scale is None:
             grad_scale = dual_norm(ctx, g0)
 
@@ -190,7 +188,8 @@ def _convex_solve(ctx, idx, term, x0=None, grad_scale=None):
                                 grad_norm=lambda g: dual_norm(ctx, g),
                                 grad_scale=grad_scale, **tols)
         total += info["iterations"]
-    return x, SolveReport(total, info["final_decrement"], info["converged"])
+    return _embed(grid, idx, x), SolveReport(total, info["final_decrement"],
+                                             info["converged"])
 
 
 def field_distance_p(a: Field, b: Field) -> float:
@@ -231,11 +230,6 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
         np.asarray(b, dtype=float).reshape(grid.cells_shape)
     if np.any(bcells <= 0):
         raise ValueError("b must be > 0 cellwise")
-    ctx = _torsion_context(mu)
-    idx = np.flatnonzero(operators.free_node_mask(grid, mu))
-    if idx.size == 0:
-        return Field(grid, np.zeros(grid.n_nodes)), SolveReport(0, 0.0, True)
-
     p = grid.p
     c = k * grid.cell_volume * bcells.reshape(-1)
     # z may be nonzero off the free nodes: its anchors there stay fixed
@@ -247,7 +241,5 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
                 operators.hessian_diagonal(grid.dim, None, c,
                                            abs_pow(diff, p - 2.0), p))
 
-    x, report = _convex_solve(
-        ctx, idx, fidelity, z.flat[idx],
-        grad_scale=max(k * z.norm_p() ** (p - 1.0), 1.0))
-    return _embed(grid, idx, x), report
+    return _convex_solve(_torsion_context(mu), fidelity, z,
+                         grad_scale=max(k * z.norm_p() ** (p - 1.0), 1.0))

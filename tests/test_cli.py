@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plapopt.grid import GridSpec, Field
+import plapopt.cli as cli_module
 from plapopt.cli import (
     ValidationError,
-    dump_field,
+    _dump_formats,
     main,
-    read_field_csv,
     validate_config,
 )
+from helpers import read_field_csv
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -261,6 +262,49 @@ def test_infeasible_constraint_exits_2(tmp_path):
     assert code == 2
 
 
+def _run_with_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().strip().splitlines()
+
+
+@pytest.mark.parametrize("subcommand,kind", [
+    ("optimize-potential", "volume"), ("optimize-set", "psi_budget")])
+def test_constraint_of_the_other_optimizer_exits_2(tmp_path, subcommand,
+                                                   kind):
+    # each kind is valid, but only for the other optimizer
+    payload = json.loads(json.dumps(TINY_CONFIGS[subcommand]))
+    payload["constraint"] = {"kind": kind, "c": 0.5,
+                             "psi": {"kind": "exp", "beta": 1.0}}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    code, lines = _run_with_stderr([subcommand, "--config", str(cfg),
+                                    "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "constraint.kind" in lines[0]
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_at_or_under_a_file_exits_2_before_the_solve(tmp_path,
+                                                         monkeypatch, under):
+    def runner(*args):
+        raise AssertionError("the runner started")
+
+    monkeypatch.setitem(cli_module._RUNNERS, "solve", runner)
+    cfg = write_config(tmp_path, solve_config(n=16))
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "out" if under else taken
+    code, lines = _run_with_stderr(["solve", "--config", str(cfg), "--out",
+                                    str(out)])
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert taken.read_text() == "kept"
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("solver", "n_starts", "abc"),
     ("solver", "m_max", 0),
@@ -417,7 +461,7 @@ def test_field_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     f = Field(g, rng.standard_normal(g.n_nodes))
     path = tmp_path / "f.csv"
-    dump_field(f, "csv", path)
+    _dump_formats(tmp_path, "f", g, g.node_coords(), f.values)
     lines = path.read_text().splitlines()
     assert len(lines) == g.n - 1
     assert all(len(line.split(",")) == 2 for line in lines)
@@ -429,7 +473,7 @@ def test_constant_field_pgm_uniform_gray(tmp_path):
     g = GridSpec(2, 8, (1.0, 1.0), 2.0)
     f = Field(g, np.full(g.n_nodes, 3.7))
     path = tmp_path / "c.pgm"
-    dump_field(f, "pgm", path)
+    _dump_formats(tmp_path, "c", g, g.node_coords(), f.values)
     data = path.read_bytes()
     body = data.split(b"255\n", 1)[1]
     assert set(body) == {128}

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plapopt.grid import GridSpec, Field, field_from_function
+from plapopt.grid import GridSpec, Field
 from plapopt.measure import (
     CapacitaryMeasure,
     WeightPair,
@@ -24,6 +24,7 @@ from plapopt.energy import (
     residual,
 )
 from oracles import central_diff_directional, dense_eigs_1d
+from helpers import field_from_function
 
 
 def plain_ctx(n=32, p=2.0, length=1.0, dim=1):

@@ -15,12 +15,11 @@ from plapopt.measure import (
 from plapopt.gamma import (
     MeasureSequence,
     blocked_limit_sequence,
-    custom_sequence,
     lsc_check,
-    monotone_under_leq,
     psi_lsc_check,
     usc_check,
 )
+from helpers import custom_sequence, monotone_under_leq
 
 
 def half_mask(n):

@@ -9,10 +9,10 @@ from plapopt.grid import (
     anchor_values,
     blocked_adjacent_nodes,
     discrete_gradient,
-    field_from_function,
     integrate,
     pad_with_boundary,
 )
+from helpers import field_from_function
 
 
 def test_gridspec_validation():

@@ -203,8 +203,9 @@ def test_p_below_2_ladder_stages_are_consistent(monkeypatch, dim, n):
 
     monkeypatch.setattr(torsion, "newton_refine", recording)
     zero = lambda v: (0.0, np.zeros_like(v), np.zeros_like(v))
-    torsion._convex_solve(replace(ctx, eps_reg=1e-40), free, zero,
-                          np.zeros(free.size), grad_scale=1.0)
+    torsion._convex_solve(replace(ctx, eps_reg=1e-40), zero,
+                          Field(ctx.grid, np.zeros(ctx.grid.n_nodes)),
+                          grad_scale=1.0)
     h2 = min(ctx.grid.spacing) ** 2
     deltas = [1e-2 * h2, 1e-5 * h2, 1e-8 * h2]
     while deltas[-1] > torsion.MEASURE_DELTA_FLOOR:

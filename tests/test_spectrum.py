@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from plapopt.grid import GridSpec, Field, field_from_function
+from plapopt.grid import GridSpec, Field
 from plapopt.measure import (
     CapacitaryMeasure,
     WeightPair,
@@ -25,6 +25,7 @@ from plapopt.spectrum import (
     sup_on_sphere,
 )
 from oracles import dense_eigs_1d, pi_p, shoot_first_eigenvalue_1d
+from helpers import field_from_function
 
 FAST = SolverOptions(n_starts=12, max_ascent_iter=80, max_outer_iter=8)
 
@@ -209,8 +210,8 @@ def test_p2_eigenfields_do_not_carry_the_eigensolver_sign(monkeypatch):
     real = spectrum_mod._pencil_positive_eigs
 
     def negated(ctx, m_max):
-        lams, vecs, complete = real(ctx, m_max)
-        return lams, [Field(v.grid, -v.values) for v in vecs], complete
+        lams, rows, idx, complete = real(ctx, m_max)
+        return lams, [-row for row in rows], idx, complete
 
     monkeypatch.setattr(spectrum_mod, "_pencil_positive_eigs", negated)
     flipped = eigen_minimax(ctx, 4, seed=0)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from plapopt.gamma import blocked_limit_sequence
-from plapopt.grid import GridSpec, Field, field_from_function
+from plapopt.grid import GridSpec, Field
 from plapopt.measure import (
     CapacitaryMeasure,
     from_potential,
@@ -19,6 +19,7 @@ from plapopt.energy import EnergyContext, f_energy, energy_gradient, dual_norm
 from plapopt.torsion import field_distance_p, gamma_distance, prox, torsion
 from plapopt import operators
 from oracles import dense_pencil_1d
+from helpers import field_from_function
 
 import scipy.linalg as sla
 
