@@ -44,6 +44,9 @@ from plapopt.optimize import (
     ConstraintSpec,
     InfeasibleConstraint,
     MAX_OUTER_ITER,
+    MAX_THRESH_ITER,
+    N_STARTS,
+    SOFT_WALLS,
     optimize_potential,
     optimize_set,
 )
@@ -236,13 +239,14 @@ def _read_constraint(sec: _Section) -> ConstraintSpec:
 
 
 def _read_optimizer(sec: _Section) -> dict:
-    walls = sec.take("soft_walls", _numbers, [1e2, 1e4])
+    walls = sec.take("soft_walls", _numbers, list(SOFT_WALLS))
     if any(s < 0 for s in walls):
         raise ValueError("soft_walls must be >= 0")
     return {"max_iter": sec.take("max_iter", _integer(0), MAX_OUTER_ITER),
-            "n_starts": sec.take("n_starts", _integer(1), 3),
+            "n_starts": sec.take("n_starts", _integer(1), N_STARTS),
             "soft_walls": walls,
-            "max_thresh_iter": sec.take("max_thresh_iter", _integer(1), 30)}
+            "max_thresh_iter": sec.take("max_thresh_iter", _integer(1),
+                                       MAX_THRESH_ITER)}
 
 
 def validate_config(config, subcommand: str) -> dict:

@@ -37,6 +37,10 @@ from plapopt.spectrum import (
 BUDGET_PROJECT_TOL = 1e-9
 BUDGET_RESULT_TOL = 1e-6
 MAX_OUTER_ITER = 200
+# optimize_set's defaults, read by the CLI too
+N_STARTS = 3
+SOFT_WALLS = (1e2, 1e4)
+MAX_THRESH_ITER = 30
 MAX_NON_IMPROVING = 10
 
 
@@ -316,10 +320,10 @@ def _threshold_mask(grid: GridSpec, density: np.ndarray, n_keep: int,
 
 def optimize_set(grid: GridSpec, weights: WeightPair,
                  objective: ObjectiveSpec, constraint: ConstraintSpec,
-                 *, seed: int = 0, n_starts: int = 3,
+                 *, seed: int = 0, n_starts: int = N_STARTS,
                  options: SolverOptions | None = None,
-                 soft_walls: tuple[float, ...] = (1e2, 1e4),
-                 max_thresh_iter: int = 30) -> OptimizeResult:
+                 soft_walls: tuple[float, ...] = SOFT_WALLS,
+                 max_thresh_iter: int = MAX_THRESH_ITER) -> OptimizeResult:
     """Minimize the objective over cell sets of exactly c / h^d cells.
 
     Iterative thresholding on the aggregated eigenfield density (Oudet,

@@ -140,11 +140,14 @@ class SolverOptions:
 # ----------------------------------------------------------------------
 # exact p = 2 path
 
-def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
+def _pencil_positive_eigs(ctx: EnergyContext, m_max: int,
+                          dense_limit: int = 0):
     """Positive pencil directions: lambda_m = 1 / beta_m with beta the
     m-th largest positive eigenvalue of B u = beta A u on free nodes.
-    A and B come from the cached p = 2 pattern.  Above DENSE_DOF_LIMIT one
-    Lanczos call solves the pencil on a banded Cholesky factor of A.
+    A and B come from the cached p = 2 pattern.  One Lanczos call solves
+    the pencil on a banded Cholesky factor of A; dense eigh takes it only
+    with at most max(m_max, dense_limit) free nodes, where ARPACK cannot
+    return m_max pairs or where the caller needs LAPACK's basis.
     Returns (lambdas, rows, idx, complete): rows[j] holds the values of
     the j-th direction on the free nodes idx, scaled to u^T A u = 1, and
     complete is False when the Lanczos iteration left requested pairs
@@ -152,7 +155,8 @@ def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
     unknown rather than absent."""
     grid = ctx.grid
     n = np.count_nonzero(operators.free_node_mask(grid, ctx.mu))
-    if n <= DENSE_DOF_LIMIT:
+    dense = n <= max(m_max, dense_limit)
+    if dense:
         A, B, idx = operators.p2_matrices(grid, ctx.mu, ctx.weights)
         b = B.diagonal()
     else:
@@ -162,10 +166,7 @@ def _pencil_positive_eigs(ctx: EnergyContext, m_max: int):
     if n == 0 or not np.any(b > 0):
         return [], [], idx, True
     complete = True
-    if n <= DENSE_DOF_LIMIT:
-        # LAPACK, not ARPACK, below the limit: the two return different
-        # bases of a degenerate cluster (lambda2 = lambda3 on the square),
-        # and the general-p levels seeded from that basis move with it
+    if dense:
         beta, U = sla.eigh(B.toarray(), A.toarray())    # U^T A U = I
     else:
         beta, U, complete = _banded_pencil(band, b, min(m_max, n - 1))
@@ -571,7 +572,7 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
     idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
     ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
     terms = operators.term_list(ev.KM,
-                                *hessians.pattern(ctx, ev.KM.shape[0]))
+                                *hessians.pattern(ctx.grid, ev.KM.shape[0]))
     # v @ KM transposes KM on every call; KM.T @ v is the same product
     KM_t, KM_meas_t = ev.KM.T, ev.KM_meas.T
     u = _normalize(ctx, u)
@@ -741,7 +742,11 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
 
     ctx2 = _p2_context(ctx)
     # ctx2 blocks the same cells, so its free nodes are idx too
-    seeds = [] if ctx2 is None else _pencil_positive_eigs(ctx2, m_max)[1]
+    # LAPACK, not ARPACK, below DENSE_DOF_LIMIT: the two return different
+    # bases of a degenerate cluster (lambda2 = lambda3 on the square), and
+    # the levels seeded from that basis move with it
+    seeds = [] if ctx2 is None else _pencil_positive_eigs(
+        ctx2, m_max, dense_limit=DENSE_DOF_LIMIT)[1]
     if not seeds:
         seeds = _probe_rows(ev, idx, rng)
 

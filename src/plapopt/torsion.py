@@ -14,21 +14,30 @@ Both solves are one convex solve (_convex_solve): f_mu plus a term of
 each cell's anchor value, the load -v of torsion or the fidelity of
 prox.  At p = 2 it is one exact Newton step; elsewhere damped Newton runs
 from the p = 2 profile (torsion) or from z (prox), for p < 2 through a
-ladder of smoothed energies.  Every step factors the same banded Hessian.
+ladder of smoothed energies.  Every step factors the same banded Hessian,
+summed through a term list cached per grid, atoms and free nodes.
+
+For p < 2 the prox fidelity c |v - z|^p / p is singular where v = z, and
+Newton's curvature (p - 1) c |v - z|^(p-2) of a row whose minimizer lies
+near z flips v - z about it instead of closing in (1D, p = 1.5, k = 1000
+from z: 241 steps).  The prox steps therefore take a secant curvature on
+each fidelity row, between Newton's and the majorizer c |v - z|^(p-2)
+(_secant_curvature), and measure each node from z or 0, whichever is
+nearer, so that a minimizer within round-off of either stays resolved.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 
-from plapopt.grid import Field, anchor_values, integrate
+from plapopt.grid import Field, GridSpec, anchor_values, integrate
 from plapopt.measure import CapacitaryMeasure, lebesgue_weights
 from plapopt.energy import (
     EnergyContext,
-    _energy_map,
     _kernel,
     _odd,
     abs_pow,
@@ -45,6 +54,7 @@ DEFAULT_TOL_GRAD = 1e-8
 # |v| >> 1e-15, and the curvature of a measure row stays below
 # c delta^(p/2 - 1) where the exact one grows without bound as v -> 0.
 MEASURE_DELTA_FLOOR = 1e-30
+SYSTEM_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -74,59 +84,83 @@ def torsion(mu: CapacitaryMeasure) -> tuple[Field, SolveReport]:
     """
     vol = mu.grid.cell_volume
     # the load -int v: -vol on each anchor row
-    load = lambda v: (-vol * float(v.sum()), np.full(v.size, -vol),
-                      np.zeros(v.size))
+    load = lambda v0, u, rest=None: (-vol * float((v0 + u).sum()),
+                                     np.full(u.size, -vol), np.zeros(u.size))
     return _convex_solve(_torsion_context(mu), load)
 
 
-def _convex_solve(ctx, term, z=None, grad_scale=None):
-    """Minimize f_mu plus sum term(v) over the values x on the free nodes
-    of ctx.mu, where v = (K_F x)[anchors] are the cell anchor values;
-    returns the minimizer as a Field, zero off the free nodes (everywhere
-    when no node is free), and the solve's report.
+@functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _free_node_system(grid: GridSpec, mu_atoms, w1_atoms, free: bytes):
+    """The free nodes idx, K_F, its transpose, the rows of K_F at the
+    cell anchors, the size of W's pattern and the term list of
+    K_F^T W K_F, for the free-node mask given by its bytes.  Cached per
+    grid, atom sets and free nodes: the k of a prox ladder and the
+    members of a gamma-sequence share one."""
+    idx = np.flatnonzero(np.frombuffer(free, dtype=bool))
+    idx.setflags(write=False)
+    K = operators._read_only(
+        operators.energy_map(grid, mu_atoms, w1_atoms)[:, idx])
+    n_grad = grid.dim * grid.n_cells
+    r, s = hessians.pattern(grid, K.shape[0])
+    # K.T is built once: it would build a new csc transpose on every call
+    return (idx, K, K.T,
+            operators._read_only(K[n_grad:n_grad + grid.n_cells]), r.size,
+            operators.term_list(K, r, s))
 
-    ``term(v)`` returns the term's value and its first and second
-    derivatives on each anchor row: they add to the kernel's weights on
-    K's anchor rows, before the one K_F^T product.  The p = 2 profile is
-    one exact Newton step from 0 of the p = 2 energy plus the term's
-    quadratic model at v = 0; at p = 2 it is the minimizer.  Otherwise
-    Newton runs from the field z cut to the free nodes (None: from that
-    profile); for p >= 2 in one exact stage, for p < 2 through a
-    smoothing continuation: |grad|^2 + eps inside the (p-2)/2 power, and
-    c ((v^2 + delta)^(p/2) - delta^(p/2)) / p for the term c |v|^p / p
-    of each measure row v, consistently in value, gradient and Hessian,
-    so each stage is a smooth convex problem that Newton finishes
-    quadratically.  The first stages take eps = delta = 1e-2, 1e-5,
-    1e-8 h^2; the next keep the context's eps_reg and lower delta by 1e-3
-    a stage down to MEASURE_DELTA_FLOOR, after the relaxed weights of
-    Diening, Fornasier, Tomasi & Wank (Numer. Math. 2020).  The last stage stops at the
-    solve's tolerances, relative to grad_scale.  Torsion passes neither
-    z nor grad_scale: it starts from the profile, and its scale is the
-    dual norm of its gradient at 0, the load.  Every Hessian, the p = 2
-    one included, is summed into band storage through the solve's one
-    term list (operators.term_list).
+
+def _convex_solve(ctx, term, z=None, grad_scale=None):
+    """Minimize f_mu(v) plus the term over the values v on the free nodes
+    of ctx.mu; returns the minimizer as a Field, zero off the free nodes
+    (everywhere when no node is free), and the solve's report.
+
+    ``term(v0, u, rest=None)`` returns the term's value and its first and
+    second derivatives on each anchor row at the cell anchor values
+    v = v0 + u: they add to the kernel's weights on K's anchor rows,
+    before the one K_F^T product.  In a Hessian, rest() gives the force
+    of the rest of the objective on each anchor row's node, for a term
+    that shapes its curvature by it (prox).
+
+    The p = 2 profile is one exact Newton step from 0 of the p = 2 energy
+    plus the term's quadratic model at v = 0; at p = 2 it is the
+    minimizer.  Otherwise Newton starts from the field z cut to the
+    free nodes (None: from the profile); for p > 2 in one exact stage,
+    for p < 2 through a smoothing continuation: |grad|^2 + eps inside the
+    (p-2)/2 power, and c ((v^2 + delta)^(p/2) - delta^(p/2)) / p for the
+    term c |v|^p / p of each measure row v, consistently in value,
+    gradient and Hessian, so each stage is a smooth convex problem that
+    Newton finishes quadratically.  The first stages take eps = delta =
+    1e-2, 1e-5, 1e-8 h^2, led by 1e1 h^2 from z, which lies further from
+    the minimizer than the profile; the next keep the context's eps_reg
+    and lower delta by 1e-3 a stage down to MEASURE_DELTA_FLOOR, after
+    the relaxed weights of Diening, Fornasier, Tomasi & Wank (Numer.
+    Math. 2020).  From z, Newton moves e = v - r, r the nearer of 0 and z
+    on each node, chosen afresh before each stage (v0 holds r's anchor
+    values): |v|^p and |v - z|^p are singular at those points, and a
+    minimizer within round-off of one of them keeps its resolution in e.
+    The last stage stops at the solve's tolerances, relative to
+    grad_scale.  Torsion passes only its load: it starts from the
+    profile, and its scale is the dual norm of its gradient at 0, the
+    load.  Every Hessian, the p = 2 one included, is summed into band
+    storage through the cached term list (_free_node_system).
     """
     grid, rows, p = ctx.grid, ctx._rows, ctx.p
-    idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
-    if idx.size == 0:
+    free = operators.free_node_mask(grid, ctx.mu)
+    if not free.any():
         return Field(grid, np.zeros(grid.n_nodes)), SolveReport(0, 0.0, True)
-    K = _energy_map(ctx)[:, idx]
-    # built once: K.T would build a new csc transpose on every evaluation
-    KT = K.T
-    r, s = hessians.pattern(ctx, K.shape[0])
-    terms = operators.term_list(K, r, s)
+    idx, K, KT, K_anchor, n_weights, terms = _free_node_system(
+        grid, ctx.mu.atoms, ctx.weights.w1_atoms, free.tobytes())
     meas = slice(rows.n_grad, K.shape[0])
     # K's anchor rows are anchor_op's: the term's weights go there
     anchors = slice(rows.n_grad, rows.n_grad + grid.n_cells)
 
-    x0 = None if z is None else z.flat[idx]
-    if x0 is None or p == 2.0:
-        _, d1, d2 = term(np.zeros(grid.n_cells))
+    if z is None or p == 2.0:
+        zero = np.zeros(grid.n_cells)
+        _, d1, d2 = term(zero, zero)
         df = np.zeros(K.shape[0])
         df[anchors] = d1
         g0 = KT @ df
         # the p = 2 weights, zero on the g g^T cell blocks
-        w = np.zeros(r.size)
+        w = np.zeros(n_weights)
         w[:K.shape[0]] = operators.hessian_diagonal(
             grid.dim, rows.vol * rows.keep, rows.f, 1.0, 2.0)
         w[anchors] += d2
@@ -137,22 +171,26 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
         if grad_scale is None:
             grad_scale = dual_norm(ctx, g0)
 
-    def make_stage(eps, delta):
+    def make_stage(eps, delta, r):
         ctx_e = replace(ctx, eps_reg=eps)
+        y_r = K @ r
+        # K's anchor rows select one node each: these are r's values
+        v0 = y_r[anchors]
 
-        def rows_at(x):
+        def rows_at(e):
             # where delta smooths the measure rows v, zeroing them in y
             # drops the kernel's exact terms there
-            y = K @ x
+            ke = K @ e
+            y = y_r + ke
             v = y[meas].copy()
             if delta is not None:
                 y[meas] = 0.0
-            return y, v
+            return ke[anchors], y, v
 
-        def value_and_grad(x):
-            y, v = rows_at(x)
+        def value_and_grad(e):
+            u, y, v = rows_at(e)
             parts = _kernel(ctx_e, y, smooth_f=True)
-            value, d1, _ = term(v[:grid.n_cells])
+            value, d1, _ = term(v0, u)
             f, df = parts.f + value, parts.df
             if delta is not None:
                 t = v * v + delta
@@ -161,13 +199,15 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
             df[anchors] += d1
             return f, KT @ df
 
-        def hess(x):
-            y, v = rows_at(x)
-            _, w = hessians.weights(ctx_e, y, rows.f)
+        def hess(e):
+            u, y, v = rows_at(e)
+            parts, w = hessians.weights(ctx_e, y, rows.f)
+            df = parts.df
             if delta is not None:
                 t = v * v + delta
                 w[meas] = rows.f * t ** (p / 2 - 2) * ((p - 1) * v * v + delta)
-            w[anchors] += term(v[:grid.n_cells])[2]
+                df[meas] = rows.f * v * t ** (p / 2 - 1)
+            w[anchors] += term(v0, u, lambda: K_anchor @ (KT @ df))[2]
             return terms.band(w)
 
         return value_and_grad, hess
@@ -175,21 +215,49 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
     stages = [(ctx.eps_reg, None)]      # (eps, delta); None: exact rows
     if p < 2.0:
         h2 = min(grid.spacing) ** 2
-        stages = [(eps, eps) for eps in (1e-2 * h2, 1e-5 * h2, 1e-8 * h2)]
+        firsts = (1e1, 1e-2, 1e-5, 1e-8) if z is not None else (
+            1e-2, 1e-5, 1e-8)
+        stages = [(eps * h2, eps * h2) for eps in firsts]
         while stages[-1][1] > MEASURE_DELTA_FLOOR:
             stages.append((ctx.eps_reg,
                            max(1e-3 * stages[-1][1], MEASURE_DELTA_FLOOR)))
-    x, total = x0, 0
+    r = np.zeros(idx.size)
+    e, total = (x0 if z is None else z.flat[idx]), 0
     for i, stage in enumerate(stages):
+        if z is not None and p < 2.0:
+            x, z_free = r + e, z.flat[idx]
+            r_new = np.where(np.abs(x) <= np.abs(x - z_free), 0.0, z_free)
+            # e stays exact on the nodes that keep their r
+            e = np.where(r_new == r, e, x - r_new)
+            r = r_new
         tols = (dict(max_iter=200, tol_decrement=DEFAULT_TOL_DECREMENT,
                      tol_grad=DEFAULT_TOL_GRAD) if i == len(stages) - 1
                 else dict(tol_decrement=1e-12, tol_grad=1e-10))
-        x, info = newton_refine(x, *make_stage(*stage),
+        e, info = newton_refine(e, *make_stage(*stage, r),
                                 grad_norm=lambda g: dual_norm(ctx, g),
                                 grad_scale=grad_scale, **tols)
         total += info["iterations"]
-    return _embed(grid, idx, x), SolveReport(total, info["final_decrement"],
-                                             info["converged"])
+    return _embed(grid, idx, r + e), SolveReport(
+        total, info["final_decrement"], info["converged"])
+
+
+def _secant_curvature(c, p, d, d1, rest):
+    """Curvature of c |d|^p / p, p < 2, on each row for a Newton step.
+
+    With the force rest of the other terms on the row held fixed, the
+    row's minimizer is d* = -sign(rest) (|rest| / c)^(1/(p-1)), and the
+    secant (d1 + rest) / (d - d*) is the curvature of the step that lands
+    on it.  Newton's (p - 1) c |d|^(p-2) overshoots d* from above and
+    flips d about it from afar; the majorizer c |d|^(p-2) lands on 0.  The
+    secant is kept between the two, so it is Newton's at d* (the
+    quadratic end game) and the majorizer's when d must shrink past zero.
+    At d = 0 abs_pow makes both 0, the clamp of the Newton model.
+    """
+    d_star = -np.sign(rest) * (np.abs(rest) / c) ** (1.0 / (p - 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        secant = np.nan_to_num((d1 + rest) / (d - d_star), nan=0.0)
+    major = c * abs_pow(d, p - 2.0)
+    return np.clip(secant, (p - 1.0) * major, major)
 
 
 def field_distance_p(a: Field, b: Field) -> float:
@@ -235,11 +303,16 @@ def prox(z: Field, k: float, mu: CapacitaryMeasure,
     # z may be nonzero off the free nodes: its anchors there stay fixed
     z_anchor = operators.anchor_op(grid) @ z.flat
 
-    def fidelity(v):
-        diff = v - z_anchor
-        return (float(c @ np.abs(diff) ** p) / p, c * _odd(diff, p),
-                operators.hessian_diagonal(grid.dim, None, c,
-                                           abs_pow(diff, p - 2.0), p))
+    def fidelity(v0, u, rest=None):
+        # exact on the nodes measured from z, where v0 is z's value
+        d = (v0 - z_anchor) + u
+        d1 = c * _odd(d, p)
+        if rest is not None and p < 2.0:
+            d2 = _secant_curvature(c, p, d, d1, rest())
+        else:
+            d2 = operators.hessian_diagonal(grid.dim, None, c,
+                                            abs_pow(d, p - 2.0), p)
+        return float(c @ np.abs(d) ** p) / p, d1, d2
 
     return _convex_solve(_torsion_context(mu), fidelity, z,
                          grad_scale=max(k * z.norm_p() ** (p - 1.0), 1.0))

@@ -368,6 +368,23 @@ def test_invalid_shipped_config_values_exit_2_before_writing(
     assert f"{section}.{key}" in err[0], err
 
 
+def test_optimize_set_defaults_of_the_cli_are_the_api_defaults():
+    # a config without an options section runs optimize_set on the
+    # defaults of its signature
+    import inspect
+    from plapopt.optimize import optimize_set
+    payload = json.loads(
+        (CONFIGS / "optimize_set_half_volume.json").read_text())
+    del payload["options"]
+    optimizer = validate_config(payload, "optimize-set")["optimizer"]
+    params = inspect.signature(optimize_set).parameters
+    for name in ("n_starts", "soft_walls", "max_thresh_iter"):
+        value = optimizer[name]
+        if isinstance(value, list):
+            value = tuple(value)
+        assert value == params[name].default, name
+
+
 _SMALL_SOLVER = {"m_max": 2, "n_starts": 4, "max_ascent_iter": 20,
                  "max_outer_iter": 2}
 _GRID_1D = {"dim": 1, "n": 8, "lengths": [1.0], "p": 2.0}

@@ -109,7 +109,7 @@ def test_band_terms_give_the_hessian_of_f(dim, n, p):
     ctx, free, values, _ = _problem(dim, n, p, seed=7)
     K = _energy_map(ctx)
     terms = operators.term_list(K[:, free],
-                                *hessians.pattern(ctx, K.shape[0]))
+                                *hessians.pattern(ctx.grid, K.shape[0]))
     assert terms.bw < n and terms.indptr.size - 1 == free.size
     stages = [ctx]
     if p < 2.0:     # a smoothing stage of the p < 2 continuation
@@ -144,7 +144,9 @@ def _newton_hessians(monkeypatch, solve):
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("dim,n", [(1, 12), (2, 8)])
 def test_prox_band_is_f_plus_the_fidelity_hessian(monkeypatch, dim, n, p):
-    # the fidelity Hessian rides on the anchor-row weights of the band
+    # the fidelity curvature rides on the anchor-row weights of the band:
+    # at p > 2 its exact Hessian, at p < 2 a diagonal between Newton's
+    # (p - 1) c |d|^(p-2) and the majorizer's c |d|^(p-2)
     ctx, free, _, _ = _problem(dim, n, p, seed=8)
     g, mu = ctx.grid, ctx.mu
     rng = np.random.default_rng(8)
@@ -157,23 +159,41 @@ def test_prox_band_is_f_plus_the_fidelity_hessian(monkeypatch, dim, n, p):
     # f's Dirichlet part alone: the same blocked cells, no density, no atoms
     dctx = torsion._torsion_context(CapacitaryMeasure(g, 0.0, mu.blocked))
     K, rows = _energy_map(tctx), tctx._rows
+    meas = K[rows.n_grad:, free]
+    c = k * g.cell_volume * b
     h2 = min(g.spacing) ** 2
-    # at p < 2 the first stage smooths |grad|^2 and the measure rows with
-    # eps = delta = 1e-2 h^2; the last keeps eps_reg and the floor delta
-    checked = [(stages[0], 1e-2 * h2, 1e-2 * h2),
-               (stages[-1], None, torsion.MEASURE_DELTA_FLOOR)] \
-        if p < 2.0 else [(stages[0], None, None), (stages[-1], None, None)]
-    for (x, hessian), eps, delta in checked:
-        ctx_e = dctx if eps is None else replace(dctx, eps_reg=eps)
-        meas = K[rows.n_grad:, free]
-        diag = operators.hessian_diagonal(
-            g.dim, None, k * g.cell_volume * b,
-            abs_pow(anchor[:, free] @ x - anchor @ z.flat, p - 2.0), p)
-        ref = hessian_f(ctx_e, operators._embed(g, free, x), free) \
+
+    def f_part(ctx_e, v, delta):
+        return hessian_f(ctx_e, operators._embed(g, free, v), free) \
             + operators.sandwich(meas, sp.diags(
-                _measure_weights(rows.f, meas @ x, p, delta))) \
-            + operators.sandwich(anchor[:, free], sp.diags(diag))
-        _assert_band_is(hessian(x), ref)
+                _measure_weights(rows.f, meas @ v, p, delta)))
+
+    if p > 2.0:
+        # one exact stage from z, in the node values themselves
+        assert len(stages) == 1
+        x, hessian = stages[0]
+        diag = operators.hessian_diagonal(
+            g.dim, None, c, abs_pow(anchor[:, free] @ x - anchor @ z.flat,
+                                    p - 2.0), p)
+        _assert_band_is(hessian(x), f_part(dctx, x, None)
+                        + operators.sandwich(anchor[:, free],
+                                             sp.diags(diag)))
+        return
+    # the first stage smooths with eps = delta = 1e1 h^2 and measures every
+    # free node from z (z is nonzero there): the band at e is that of
+    # v = z + e
+    hessian = stages[0][1]
+    e = 0.1 * rng.standard_normal(free.size)
+    v = z.flat[free] + e
+    eps = 1e1 * h2
+    fid = _from_band(hessian(e)) \
+        - f_part(replace(dctx, eps_reg=eps), v, eps).toarray()
+    scale = np.abs(_from_band(hessian(e))).max()
+    assert np.abs(fid - np.diag(np.diag(fid))).max() <= 1e-12 * scale
+    major = anchor[:, free].T @ (
+        c * abs_pow(anchor[:, free] @ v - anchor @ z.flat, p - 2.0))
+    assert np.all(np.diag(fid) >= (p - 1.0) * major - 1e-12 * scale)
+    assert np.all(np.diag(fid) <= major + 1e-12 * scale)
 
 
 def _measure_weights(c, v, p, delta):
@@ -202,12 +222,13 @@ def test_p_below_2_ladder_stages_are_consistent(monkeypatch, dim, n):
                     "converged": True}
 
     monkeypatch.setattr(torsion, "newton_refine", recording)
-    zero = lambda v: (0.0, np.zeros_like(v), np.zeros_like(v))
+    zero = lambda v0, u, rest=None: (0.0, np.zeros_like(u), np.zeros_like(u))
     torsion._convex_solve(replace(ctx, eps_reg=1e-40), zero,
                           Field(ctx.grid, np.zeros(ctx.grid.n_nodes)),
                           grad_scale=1.0)
     h2 = min(ctx.grid.spacing) ** 2
-    deltas = [1e-2 * h2, 1e-5 * h2, 1e-8 * h2]
+    # from a start z, the ladder opens with 1e1 h^2
+    deltas = [1e1 * h2, 1e-2 * h2, 1e-5 * h2, 1e-8 * h2]
     while deltas[-1] > torsion.MEASURE_DELTA_FLOOR:
         deltas.append(max(1e-3 * deltas[-1], torsion.MEASURE_DELTA_FLOOR))
     assert len(stages) == len(deltas)

@@ -378,13 +378,20 @@ def _gather_cases():
     }
 
 
+def _dense_pencil(spectrum_mod):
+    """_pencil_positive_eigs held on its dense eigh branch."""
+    real = spectrum_mod._pencil_positive_eigs
+    return lambda ctx, m_max, dense_limit=0: real(ctx, m_max, 10 ** 6)
+
+
 def test_dense_and_sparse_pencil_paths_agree(monkeypatch):
     import plapopt.spectrum as spectrum_mod
     for name, ctx in {**_pencil_cases(24), **_gather_cases()}.items():
-        dense = eigen_minimax(ctx, 4, seed=0)
+        sparse = eigen_minimax(ctx, 4, seed=0)
         with monkeypatch.context() as mp:
-            mp.setattr(spectrum_mod, "DENSE_DOF_LIMIT", 10)
-            sparse = eigen_minimax(ctx, 4, seed=0)
+            mp.setattr(spectrum_mod, "_pencil_positive_eigs",
+                       _dense_pencil(spectrum_mod))
+            dense = eigen_minimax(ctx, 4, seed=0)
         assert dense.statuses == sparse.statuses == ["finite"] * 4, name
         for a, b in zip(dense.lambdas, sparse.lambdas):
             assert math.isclose(a, b, rel_tol=1e-9), name
@@ -441,7 +448,8 @@ def test_pencil_without_positive_weight_is_infeasible_on_both_paths(
         ctx = EnergyContext(g, zero_measure(g), WeightPair(g, 1.0, (), w2))
         sparse = eigen_minimax(ctx, 3, seed=0)
         with monkeypatch.context() as mp:
-            mp.setattr(spectrum_mod, "DENSE_DOF_LIMIT", 10 ** 6)
+            mp.setattr(spectrum_mod, "_pencil_positive_eigs",
+                       _dense_pencil(spectrum_mod))
             dense = eigen_minimax(ctx, 3, seed=0)
         assert sparse.statuses == dense.statuses == ["infeasible"] * 3
         assert sparse.lambdas == dense.lambdas == [math.inf] * 3
@@ -802,7 +810,7 @@ def test_atom_only_nu1_off_centre_is_certified():
 def test_pencil_errors_propagate_from_the_general_p_seed(monkeypatch):
     import plapopt.spectrum as spectrum_mod
 
-    def broken(ctx, m_max):
+    def broken(ctx, m_max, dense_limit=0):
         raise RuntimeError("pencil failed")
 
     monkeypatch.setattr(spectrum_mod, "_pencil_positive_eigs", broken)
