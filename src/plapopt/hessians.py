@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from plapopt import operators
 from plapopt.energy import EnergyContext, _energy_map, _kernel
-from plapopt.grid import Field, GridSpec
+from plapopt.grid import Field
 
 
 def weights(ctx: EnergyContext, y: np.ndarray, c: np.ndarray):
@@ -34,7 +34,7 @@ def weights(ctx: EnergyContext, y: np.ndarray, c: np.ndarray):
     W holds the Hessian weights of the p-Dirichlet term plus
     sum c |y|^p / p over the measure rows: c is rows.f for f, and
     rows.f - lambda (rows.g1 - rows.g2) for f - lambda (g1 - g2).  The
-    pattern is pattern(ctx.grid, y.size).  g1 - g2 alone has no Dirichlet
+    pattern is pattern(ctx, y.size).  g1 - g2 alone has no Dirichlet
     term; hessian_g_diff builds its measure-row diagonal directly.
     """
     parts, curv = _kernel(ctx, y, hess=True)
@@ -49,14 +49,14 @@ def weights(ctx: EnergyContext, y: np.ndarray, c: np.ndarray):
     return parts, np.concatenate(w)
 
 
-def pattern(grid: GridSpec, n_rows: int):
+def pattern(ctx: EnergyContext, n_rows: int):
     """Rows and columns (r, s) of W over K's rows, in the order of the
     weights that weights() returns: the diagonal, then (p != 2) the entry
     (a, b) of every cell's d x d axis block, axis a major."""
     r = [np.arange(n_rows)]
     s = list(r)
-    if grid.p != 2.0:
-        dim, nc = grid.dim, grid.n_cells
+    if ctx.p != 2.0:
+        dim, nc = ctx.grid.dim, ctx.grid.n_cells
         cells = np.arange(nc)
         r += [a * nc + cells for a in range(dim) for _ in range(dim)]
         s += [b * nc + cells for _ in range(dim) for b in range(dim)]
@@ -66,7 +66,7 @@ def pattern(grid: GridSpec, n_rows: int):
 def assemble(ctx: EnergyContext, KF, y: np.ndarray, c: np.ndarray):
     """Kernel parts at y = K x and K_F^T W K_F from the same pass."""
     parts, w = weights(ctx, y, c)
-    W = sp.csr_matrix((w, pattern(ctx.grid, y.size)), shape=(y.size,) * 2)
+    W = sp.csr_matrix((w, pattern(ctx, y.size)), shape=(y.size,) * 2)
     return parts, operators.sandwich(KF, W)
 
 

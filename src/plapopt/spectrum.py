@@ -572,7 +572,7 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
     idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
     ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
     terms = operators.term_list(ev.KM,
-                                *hessians.pattern(ctx.grid, ev.KM.shape[0]))
+                                *hessians.pattern(ctx, ev.KM.shape[0]))
     # v @ KM transposes KM on every call; KM.T @ v is the same product
     KM_t, KM_meas_t = ev.KM.T, ev.KM_meas.T
     u = _normalize(ctx, u)

@@ -14,8 +14,7 @@ Both solves are one convex solve (_convex_solve): f_mu plus a term of
 each cell's anchor value, the load -v of torsion or the fidelity of
 prox.  At p = 2 it is one exact Newton step; elsewhere damped Newton runs
 from the p = 2 profile (torsion) or from z (prox), for p < 2 through a
-ladder of smoothed energies.  Every step factors the same banded Hessian,
-summed through a term list cached per grid, atoms and free nodes.
+ladder of smoothed energies.  Every step factors the same banded Hessian.
 
 For p < 2 the prox fidelity c |v - z|^p / p is singular where v = z, and
 Newton's curvature (p - 1) c |v - z|^(p-2) of a row whose minimizer lies
@@ -28,16 +27,16 @@ nearer, so that a minimizer within round-off of either stays resolved.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 
-from plapopt.grid import Field, GridSpec, anchor_values, integrate
+from plapopt.grid import Field, anchor_values, integrate
 from plapopt.measure import CapacitaryMeasure, lebesgue_weights
 from plapopt.energy import (
     EnergyContext,
+    _energy_map,
     _kernel,
     _odd,
     abs_pow,
@@ -54,7 +53,6 @@ DEFAULT_TOL_GRAD = 1e-8
 # |v| >> 1e-15, and the curvature of a measure row stays below
 # c delta^(p/2 - 1) where the exact one grows without bound as v -> 0.
 MEASURE_DELTA_FLOOR = 1e-30
-SYSTEM_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -87,25 +85,6 @@ def torsion(mu: CapacitaryMeasure) -> tuple[Field, SolveReport]:
     load = lambda v0, u, rest=None: (-vol * float((v0 + u).sum()),
                                      np.full(u.size, -vol), np.zeros(u.size))
     return _convex_solve(_torsion_context(mu), load)
-
-
-@functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)
-def _free_node_system(grid: GridSpec, mu_atoms, w1_atoms, free: bytes):
-    """The free nodes idx, K_F, its transpose, the rows of K_F at the
-    cell anchors, the size of W's pattern and the term list of
-    K_F^T W K_F, for the free-node mask given by its bytes.  Cached per
-    grid, atom sets and free nodes: the k of a prox ladder and the
-    members of a gamma-sequence share one."""
-    idx = np.flatnonzero(np.frombuffer(free, dtype=bool))
-    idx.setflags(write=False)
-    K = operators._read_only(
-        operators.energy_map(grid, mu_atoms, w1_atoms)[:, idx])
-    n_grad = grid.dim * grid.n_cells
-    r, s = hessians.pattern(grid, K.shape[0])
-    # K.T is built once: it would build a new csc transpose on every call
-    return (idx, K, K.T,
-            operators._read_only(K[n_grad:n_grad + grid.n_cells]), r.size,
-            operators.term_list(K, r, s))
 
 
 def _convex_solve(ctx, term, z=None, grad_scale=None):
@@ -141,17 +120,21 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
     grad_scale.  Torsion passes only its load: it starts from the
     profile, and its scale is the dual norm of its gradient at 0, the
     load.  Every Hessian, the p = 2 one included, is summed into band
-    storage through the cached term list (_free_node_system).
+    storage through the solve's one term list (operators.term_list).
     """
     grid, rows, p = ctx.grid, ctx._rows, ctx.p
-    free = operators.free_node_mask(grid, ctx.mu)
-    if not free.any():
+    idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
+    if idx.size == 0:
         return Field(grid, np.zeros(grid.n_nodes)), SolveReport(0, 0.0, True)
-    idx, K, KT, K_anchor, n_weights, terms = _free_node_system(
-        grid, ctx.mu.atoms, ctx.weights.w1_atoms, free.tobytes())
+    K = _energy_map(ctx)[:, idx]
+    # built once: K.T would build a new csc transpose on every evaluation
+    KT = K.T
+    pattern = hessians.pattern(ctx, K.shape[0])
+    terms = operators.term_list(K, *pattern)
     meas = slice(rows.n_grad, K.shape[0])
     # K's anchor rows are anchor_op's: the term's weights go there
     anchors = slice(rows.n_grad, rows.n_grad + grid.n_cells)
+    K_anchor = K[anchors]
 
     if z is None or p == 2.0:
         zero = np.zeros(grid.n_cells)
@@ -160,7 +143,7 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
         df[anchors] = d1
         g0 = KT @ df
         # the p = 2 weights, zero on the g g^T cell blocks
-        w = np.zeros(n_weights)
+        w = np.zeros(pattern[0].size)
         w[:K.shape[0]] = operators.hessian_diagonal(
             grid.dim, rows.vol * rows.keep, rows.f, 1.0, 2.0)
         w[anchors] += d2
@@ -202,12 +185,19 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
         def hess(e):
             u, y, v = rows_at(e)
             parts, w = hessians.weights(ctx_e, y, rows.f)
-            df = parts.df
             if delta is not None:
                 t = v * v + delta
                 w[meas] = rows.f * t ** (p / 2 - 2) * ((p - 1) * v * v + delta)
-                df[meas] = rows.f * v * t ** (p / 2 - 1)
-            w[anchors] += term(v0, u, lambda: K_anchor @ (KT @ df))[2]
+
+            def rest():
+                # f's gradient at each anchor row's node; only a term
+                # that reads it pays for the smoothed measure rows
+                df = parts.df
+                if delta is not None:
+                    df[meas] = rows.f * v * t ** (p / 2 - 1)
+                return K_anchor @ (KT @ df)
+
+            w[anchors] += term(v0, u, rest)[2]
             return terms.band(w)
 
         return value_and_grad, hess

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 from plapopt.grid import GridSpec, Field
 from plapopt.measure import CapacitaryMeasure, WeightPair
-from plapopt.energy import (EnergyContext, _energy_map, abs_pow,
+from plapopt.energy import (EnergyContext, _energy_map, _odd, abs_pow,
                             energy_gradient, f_energy, g_energy, g_gradient)
 from plapopt.hessians import assemble, hessian_f, hessian_g_diff
 from plapopt import hessians, operators
@@ -109,7 +109,7 @@ def test_band_terms_give_the_hessian_of_f(dim, n, p):
     ctx, free, values, _ = _problem(dim, n, p, seed=7)
     K = _energy_map(ctx)
     terms = operators.term_list(K[:, free],
-                                *hessians.pattern(ctx.grid, K.shape[0]))
+                                *hessians.pattern(ctx, K.shape[0]))
     assert terms.bw < n and terms.indptr.size - 1 == free.size
     stages = [ctx]
     if p < 2.0:     # a smoothing stage of the p < 2 continuation
@@ -128,13 +128,15 @@ def test_band_terms_give_the_hessian_of_f(dim, n, p):
 
 
 def _newton_hessians(monkeypatch, solve):
-    """Run a solve and keep (x, hessian) of every newton_refine stage."""
+    """Run a solve and keep (x0, hessian, x) of every newton_refine stage:
+    its start, its Hessian and its result."""
     stages = []
     refine = torsion.newton_refine
 
     def recording(x0, value_and_grad, hessian, **kwargs):
-        stages.append((np.array(x0), hessian))
-        return refine(x0, value_and_grad, hessian, **kwargs)
+        x, info = refine(x0, value_and_grad, hessian, **kwargs)
+        stages.append((np.array(x0), hessian, x))
+        return x, info
 
     monkeypatch.setattr(torsion, "newton_refine", recording)
     assert solve()[1].converged
@@ -145,8 +147,8 @@ def _newton_hessians(monkeypatch, solve):
 @pytest.mark.parametrize("dim,n", [(1, 12), (2, 8)])
 def test_prox_band_is_f_plus_the_fidelity_hessian(monkeypatch, dim, n, p):
     # the fidelity curvature rides on the anchor-row weights of the band:
-    # at p > 2 its exact Hessian, at p < 2 a diagonal between Newton's
-    # (p - 1) c |d|^(p-2) and the majorizer's c |d|^(p-2)
+    # at p > 2 its exact Hessian, at p < 2 the secant curvature of each
+    # row at the force of f's (smoothed) gradient on its node
     ctx, free, _, _ = _problem(dim, n, p, seed=8)
     g, mu = ctx.grid, ctx.mu
     rng = np.random.default_rng(8)
@@ -155,13 +157,13 @@ def test_prox_band_is_f_plus_the_fidelity_hessian(monkeypatch, dim, n, p):
     stages = _newton_hessians(monkeypatch,
                               lambda: torsion.prox(z, k, mu, b))
     anchor = operators.anchor_op(g)
+    A, z_anchor = anchor[:, free], anchor @ z.flat
     tctx = torsion._torsion_context(mu)
     # f's Dirichlet part alone: the same blocked cells, no density, no atoms
     dctx = torsion._torsion_context(CapacitaryMeasure(g, 0.0, mu.blocked))
     K, rows = _energy_map(tctx), tctx._rows
     meas = K[rows.n_grad:, free]
     c = k * g.cell_volume * b
-    h2 = min(g.spacing) ** 2
 
     def f_part(ctx_e, v, delta):
         return hessian_f(ctx_e, operators._embed(g, free, v), free) \
@@ -171,29 +173,44 @@ def test_prox_band_is_f_plus_the_fidelity_hessian(monkeypatch, dim, n, p):
     if p > 2.0:
         # one exact stage from z, in the node values themselves
         assert len(stages) == 1
-        x, hessian = stages[0]
-        diag = operators.hessian_diagonal(
-            g.dim, None, c, abs_pow(anchor[:, free] @ x - anchor @ z.flat,
-                                    p - 2.0), p)
-        _assert_band_is(hessian(x), f_part(dctx, x, None)
-                        + operators.sandwich(anchor[:, free],
-                                             sp.diags(diag)))
+        for x in (stages[0][0], stages[0][2]):
+            diag = operators.hessian_diagonal(
+                g.dim, None, c, abs_pow(A @ x - z_anchor, p - 2.0), p)
+            _assert_band_is(stages[0][1](x), f_part(dctx, x, None)
+                            + operators.sandwich(A, sp.diags(diag)))
         return
-    # the first stage smooths with eps = delta = 1e1 h^2 and measures every
-    # free node from z (z is nonzero there): the band at e is that of
-    # v = z + e
-    hessian = stages[0][1]
-    e = 0.1 * rng.standard_normal(free.size)
-    v = z.flat[free] + e
-    eps = 1e1 * h2
-    fid = _from_band(hessian(e)) \
-        - f_part(replace(dctx, eps_reg=eps), v, eps).toarray()
-    scale = np.abs(_from_band(hessian(e))).max()
-    assert np.abs(fid - np.diag(np.diag(fid))).max() <= 1e-12 * scale
-    major = anchor[:, free].T @ (
-        c * abs_pow(anchor[:, free] @ v - anchor @ z.flat, p - 2.0))
-    assert np.all(np.diag(fid) >= (p - 1.0) * major - 1e-12 * scale)
-    assert np.all(np.diag(fid) <= major + 1e-12 * scale)
+    # Newton moves e = v - r, r the nearer of 0 and z on each free node at
+    # the previous stage's result (z before the first); the first stage
+    # smooths with eps = delta = 1e1 h^2, the last keeps eps_reg and the
+    # floor delta
+    h2 = min(g.spacing) ** 2
+    z_free = z.flat[free]
+    rs, v = [], z_free
+    for _, _, e in stages:
+        rs.append(np.where(np.abs(v) <= np.abs(v - z_free), 0.0, z_free))
+        v = rs[-1] + e
+    checked = [(0, 1e1 * h2, 1e1 * h2),
+               (-1, None, torsion.MEASURE_DELTA_FLOOR)]
+    for i, eps, delta in checked:
+        ctx_e = dctx if eps is None else replace(dctx, eps_reg=eps)
+        r = rs[i]
+        # off the stage's start, where the fidelity rows are far from
+        # their minimizers and the secant is well conditioned
+        e = stages[i][0] + rng.standard_normal(free.size)
+        v = r + e
+        # f's smoothed gradient on the free nodes at v
+        mv = meas @ v
+        grad = energy_gradient(ctx_e, operators._embed(g, free, v)).flat[
+            free] + meas.T @ (rows.f * mv * (mv * mv + delta) ** (p / 2 - 1))
+        # the code's d: r's anchor values are exact, and so is e there
+        d = (A @ r - z_anchor) + A @ e
+        curv = torsion._secant_curvature(c, p, d, c * _odd(d, p), A @ grad)
+        major = c * abs_pow(d, p - 2.0)
+        # some rows take the secant itself, not one of its clip bounds
+        inside = (curv > (p - 1.0) * major) & (curv < major)
+        assert inside.sum() >= 2, inside.sum()
+        _assert_band_is(stages[i][1](e), f_part(ctx_e, v, delta)
+                        + operators.sandwich(A, sp.diags(curv)))
 
 
 def _measure_weights(c, v, p, delta):

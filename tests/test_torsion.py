@@ -279,8 +279,6 @@ def test_newton_steps_take_banded_hessians_from_one_term_list(monkeypatch):
         z = field_from_function(g, lambda x, y: np.sin(math.pi * x)
                                 * np.sin(math.pi * y))
         n_free = int(operators.free_node_mask(g, mu).sum())
-        # the term list is cached per grid, atoms and free nodes
-        torsion_module._free_node_system.cache_clear()
         calls.clear()
         shapes.clear()
         _, rep = solve(mu)
