@@ -238,12 +238,14 @@ def _read_constraint(sec: _Section) -> ConstraintSpec:
                           sec.section("psi", _read_psi, None))
 
 
-def _read_optimizer(sec: _Section) -> dict:
+def _read_optimizer(sec: _Section, subcommand: str) -> dict:
+    """The keyword arguments of the subcommand's optimizer."""
+    if subcommand == "optimize-potential":
+        return {"max_iter": sec.take("max_iter", _integer(0), MAX_OUTER_ITER)}
     walls = sec.take("soft_walls", _numbers, list(SOFT_WALLS))
     if any(s < 0 for s in walls):
         raise ValueError("soft_walls must be >= 0")
-    return {"max_iter": sec.take("max_iter", _integer(0), MAX_OUTER_ITER),
-            "n_starts": sec.take("n_starts", _integer(1), N_STARTS),
+    return {"n_starts": sec.take("n_starts", _integer(1), N_STARTS),
             "soft_walls": walls,
             "max_thresh_iter": sec.take("max_thresh_iter", _integer(1),
                                        MAX_THRESH_ITER)}
@@ -276,7 +278,8 @@ def validate_config(config, subcommand: str) -> dict:
         if inputs["constraint"].kind != kind:
             raise ValidationError(f"constraint.kind: {subcommand} takes "
                                   f"{kind!r}")
-        inputs["optimizer"] = top.section("options", _read_optimizer, {})
+        inputs["optimizer"] = top.section(
+            "options", lambda sec: _read_optimizer(sec, subcommand), {})
     top.close()
     return inputs
 
@@ -449,7 +452,7 @@ def run_optimize_potential(inputs: dict, out: Path, timings: dict) -> int:
     result = optimize_potential(
         inputs["grid"], inputs["weights"], inputs["objective"],
         inputs["constraint"], seed=inputs["seed"], options=inputs["solver"],
-        max_iter=inputs["optimizer"]["max_iter"])
+        **inputs["optimizer"])
     timings["optimize"] = time.perf_counter() - t0
     return _write_optimize_result(
         out, "optimize-potential", inputs["grid"], result, "V",
@@ -457,14 +460,11 @@ def run_optimize_potential(inputs: dict, out: Path, timings: dict) -> int:
 
 
 def run_optimize_set(inputs: dict, out: Path, timings: dict) -> int:
-    optimizer = inputs["optimizer"]
     t0 = time.perf_counter()
     result = optimize_set(
         inputs["grid"], inputs["weights"], inputs["objective"],
         inputs["constraint"], seed=inputs["seed"], options=inputs["solver"],
-        n_starts=optimizer["n_starts"],
-        soft_walls=optimizer["soft_walls"],
-        max_thresh_iter=optimizer["max_thresh_iter"])
+        **inputs["optimizer"])
     timings["optimize"] = time.perf_counter() - t0
     return _write_optimize_result(
         out, "optimize-set", inputs["grid"], result, "mask", result.mask,

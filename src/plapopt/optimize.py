@@ -1,13 +1,15 @@
 """Outer optimizers: potentials under a Psi-budget, sets under a volume
 constraint.
 
-Potentials run projected descent: the derivative of an eigenvalue with
-respect to the cell density is the eigenfield mass |u|^p / p there, the
-step is re-projected onto the budget surface by a scalar bisection, and
-worse candidates are rejected so the accepted objective never increases.
-Sets run iterative thresholding on the aggregated eigenfield density with
-a soft-wall continuation before the final hard-blocked solves; the cell
-count of the set is pinned exactly throughout.
+Both steer by one eigenfield density (_density), the objective's
+weighted sum of |u_m|^p over its active eigenfields.  Potentials run
+projected descent: the derivative of an eigenvalue with respect to the
+cell density is the eigenfield mass |u|^p / p there, the step is
+re-projected onto the budget surface by a scalar bisection, and worse
+candidates are rejected so the accepted objective never increases.  Sets
+run iterative thresholding on the density with a soft-wall continuation
+before the final hard-blocked solves; the cell count of the set is pinned
+exactly throughout.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from plapopt.measure import (
     WeightPair,
     PsiSpec,
     from_potential,
-    from_quasi_open,
     psi_volume,
 )
 from plapopt.energy import EnergyContext
@@ -73,14 +74,12 @@ class ObjectiveSpec:
         if not 1 <= self.k <= M_MAX_LIMIT:
             raise ValueError(f"objective index k must be in 1..{M_MAX_LIMIT}")
 
-    def active_indices(self, lambdas=None) -> list[int]:
+    def active_indices(self, lambdas) -> list[int]:
         """1-based eigenvalue indices steering the descent direction."""
         if self.kind == "single":
             return [self.k]
         if self.kind == "weighted_sum":
             return [m for m, w in enumerate(self.weights, start=1) if w > 0]
-        if lambdas is None:
-            return list(range(1, self.k + 1))
         vals = lambdas[:self.k]
         top = max(vals)
         for m, v in enumerate(vals, start=1):  # ties go to the lowest index
@@ -129,19 +128,12 @@ def objective_eval(objective: ObjectiveSpec, lambdas) -> float:
     return float(max(vals))
 
 
-def _index_weights(objective: ObjectiveSpec, indices: list[int]) -> list[float]:
-    if objective.kind == "weighted_sum":
-        return [objective.weights[m - 1] for m in indices]
-    return [1.0] * len(indices)
-
-
 @dataclass
 class HistoryRow:
     iteration: int
     objective: float
     constraint: float
     accepted: bool
-    stage: str = ""
 
 
 @dataclass
@@ -209,22 +201,24 @@ def _solve_spectrum(grid, mu, weights, k, seed, options) -> SpectralResult:
     return eigen_minimax(ctx, k, seed=seed, options=options)
 
 
-def _eigen_gradient(grid, spectrum: SpectralResult, indices: list[int],
-                    index_weights: list[float]) -> np.ndarray:
-    """d objective / d V per cell: aggregated eigenfield mass.
+def _density(grid: GridSpec, objective: ObjectiveSpec,
+             spectrum: SpectralResult) -> np.ndarray:
+    """Eigenfield density per cell: sum of w_m |u_m(anchor)|^p over the
+    active indices, w_m the objective's weight (1 unless weighted_sum).
 
     For a normalized eigenfield (g1 - g2 = 1) the derivative of its
-    eigenvalue with respect to the density on a cell is
-    cell_volume * |u(anchor)|^p / p.
+    eigenvalue with respect to the potential on a cell is
+    cell_volume * |u(anchor)|^p / p, so cell_volume * density / p is the
+    objective's derivative.
     """
-    p = grid.p
     out = np.zeros(grid.cells_shape)
-    for m, w in zip(indices, index_weights):
+    weighted = objective.kind == "weighted_sum"
+    for m in objective.active_indices(spectrum.lambdas):
         u = spectrum.eigenfields[m - 1]
         if u is None:
             continue
-        anch = np.abs(anchor_values(grid, u.values)) ** p
-        out += w * grid.cell_volume * anch / p
+        w = objective.weights[m - 1] if weighted else 1.0
+        out += w * np.abs(anchor_values(grid, u.values)) ** grid.p
     return out
 
 
@@ -262,9 +256,7 @@ def optimize_potential(grid: GridSpec, weights: WeightPair,
     non_improving = 0
     it = 0
     for it in range(1, max_iter + 1):
-        indices = objective.active_indices(spectrum.lambdas)
-        grad = _eigen_gradient(grid, spectrum, indices,
-                               _index_weights(objective, indices))
+        grad = grid.cell_volume * _density(grid, objective, spectrum) / grid.p
         gmax = grad.max()
         if gmax <= 0:
             break
@@ -326,13 +318,14 @@ def optimize_set(grid: GridSpec, weights: WeightPair,
                  max_thresh_iter: int = MAX_THRESH_ITER) -> OptimizeResult:
     """Minimize the objective over cell sets of exactly c / h^d cells.
 
-    Iterative thresholding on the aggregated eigenfield density (Oudet,
-    ESAIM COCV 2004), from several seeded initial blobs: each stage solves
-    with the potential 0 on the set and the wall s on its complement,
-    keeps the n_keep cells of largest density, and moves to the next wall
-    once the set repeats or after max_thresh_iter solves.  The walls are
+    Iterative thresholding on the eigenfield density (Oudet, ESAIM COCV
+    2004), from several seeded initial blobs: each stage solves with the
+    potential 0 on the set and the wall s on its complement, keeps the
+    n_keep cells of largest density, and moves to the next wall once the
+    set repeats or after max_thresh_iter solves.  The walls are
     soft_walls, then +inf, the hard-blocked complement; only hard solves
-    are candidates, accepted when they improve the best objective.
+    are candidates, accepted when they improve the best objective.  The
+    full box is one start of one hard solve.
     """
     if constraint.kind != "volume":
         raise ValueError("optimize_set needs a volume constraint")
@@ -344,16 +337,8 @@ def optimize_set(grid: GridSpec, weights: WeightPair,
         raise InfeasibleConstraint("volume smaller than one cell")
     n_keep = min(n_keep, grid.n_cells)
 
-    if n_keep == grid.n_cells:
-        mask = np.ones(grid.cells_shape, dtype=bool)
-        spec = _solve_spectrum(grid, from_quasi_open(grid, mask), weights, k,
-                               seed, opts)
-        obj = objective_eval(objective, spec.lambdas)
-        return OptimizeResult(
-            potential=None, mask=mask, spectrum=spec,
-            history=[HistoryRow(0, obj, constraint.c, True, "hard")],
-            objective=obj, constraint_value=n_keep * grid.cell_volume,
-            converged=True)
+    if n_keep == grid.n_cells:  # the full box: one hard solve
+        n_starts, soft_walls = 1, ()
 
     tie_break = np.arange(grid.n_cells, dtype=float)
     best = None  # (objective, mask, spectrum)
@@ -373,10 +358,9 @@ def optimize_set(grid: GridSpec, weights: WeightPair,
                         best = (obj, mask.copy(), spec)
                     history.append(HistoryRow(
                         len(history), best[0], n_keep * grid.cell_volume,
-                        accepted, f"start{start}:hard"))
-                dens = _aggregate_density(
-                    grid, spec, objective.active_indices(spec.lambdas))
-                new_mask = _threshold_mask(grid, dens, n_keep, tie_break)
+                        accepted))
+                new_mask = _threshold_mask(
+                    grid, _density(grid, objective, spec), n_keep, tie_break)
                 if np.array_equal(new_mask, mask):
                     break
                 mask = new_mask
@@ -401,13 +385,3 @@ def _initial_blob(grid: GridSpec, n_keep: int, rng: np.random.Generator,
     return _threshold_mask(grid, dens.reshape(grid.cells_shape), n_keep,
                            tie_break)
 
-
-def _aggregate_density(grid: GridSpec, spectrum: SpectralResult,
-                       indices: list[int]) -> np.ndarray:
-    out = np.zeros(grid.cells_shape)
-    for m in indices:
-        u = spectrum.eigenfields[m - 1]
-        if u is None:
-            continue
-        out += np.abs(anchor_values(grid, u.values)) ** grid.p
-    return out

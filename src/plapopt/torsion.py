@@ -82,8 +82,8 @@ def torsion(mu: CapacitaryMeasure) -> tuple[Field, SolveReport]:
     """
     vol = mu.grid.cell_volume
     # the load -int v: -vol on each anchor row
-    load = lambda v0, u, rest=None: (-vol * float((v0 + u).sum()),
-                                     np.full(u.size, -vol), np.zeros(u.size))
+    load = lambda v0, u: (-vol * float((v0 + u).sum()), np.full(u.size, -vol),
+                          lambda rest: np.zeros(u.size))
     return _convex_solve(_torsion_context(mu), load)
 
 
@@ -92,12 +92,14 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
     of ctx.mu; returns the minimizer as a Field, zero off the free nodes
     (everywhere when no node is free), and the solve's report.
 
-    ``term(v0, u, rest=None)`` returns the term's value and its first and
-    second derivatives on each anchor row at the cell anchor values
-    v = v0 + u: they add to the kernel's weights on K's anchor rows,
-    before the one K_F^T product.  In a Hessian, rest() gives the force
-    of the rest of the objective on each anchor row's node, for a term
-    that shapes its curvature by it (prox).
+    ``term(v0, u)`` returns the term's value, its first derivative on
+    each anchor row at the cell anchor values v = v0 + u, and a function
+    curvature(rest) of its second derivative there, called only for a
+    Hessian: both derivatives add to the kernel's weights on K's anchor
+    rows, before the one K_F^T product.  rest() gives the force of the
+    rest of the objective on each anchor row's node, for a term that
+    shapes its curvature by it (prox at p < 2); the p = 2 profile passes
+    None.
 
     The p = 2 profile is one exact Newton step from 0 of the p = 2 energy
     plus the term's quadratic model at v = 0; at p = 2 it is the
@@ -138,7 +140,7 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
 
     if z is None or p == 2.0:
         zero = np.zeros(grid.n_cells)
-        _, d1, d2 = term(zero, zero)
+        _, d1, curvature = term(zero, zero)
         df = np.zeros(K.shape[0])
         df[anchors] = d1
         g0 = KT @ df
@@ -146,7 +148,7 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
         w = np.zeros(pattern[0].size)
         w[:K.shape[0]] = operators.hessian_diagonal(
             grid.dim, rows.vol * rows.keep, rows.f, 1.0, 2.0)
-        w[anchors] += d2
+        w[anchors] += curvature(None)
         factor = sla.cholesky_banded(terms.band(w), check_finite=False)
         x0 = sla.cho_solve_banded((factor, False), -g0, check_finite=False)
         if p == 2.0:
@@ -197,7 +199,7 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
                     df[meas] = rows.f * v * t ** (p / 2 - 1)
                 return K_anchor @ (KT @ df)
 
-            w[anchors] += term(v0, u, rest)[2]
+            w[anchors] += term(v0, u)[2](rest)
             return terms.band(w)
 
         return value_and_grad, hess
@@ -270,39 +272,37 @@ def gamma_distance(mu1: CapacitaryMeasure, mu2: CapacitaryMeasure) -> float:
     return field_distance_p(w1, w2)
 
 
-def prox(z: Field, k: float, mu: CapacitaryMeasure,
-         b=None) -> tuple[Field, SolveReport]:
+def prox(z: Field, k: float,
+         mu: CapacitaryMeasure) -> tuple[Field, SolveReport]:
     """Moreau-Yosida proximal point of the measure energy at z.
 
-    Minimizes (k/p) int |z - v|^p b + f_mu(v).  Whenever f_mu(z) is
-    finite the minimizer obeys the descent bound
+    Minimizes (k/p) int |z - v|^p + f_mu(v).  Whenever f_mu(z) is finite
+    the minimizer obeys the descent bound
 
-        (k/p) int |z - prox|^p b + f_mu(prox) <= f_mu(z).
+        (k/p) int |z - prox|^p + f_mu(prox) <= f_mu(z).
     """
     if k <= 0:
         raise ValueError("k must be > 0")
     grid = z.grid
     if mu.grid != grid:
         raise ValueError("grid mismatch")
-    bcells = np.ones(grid.cells_shape) if b is None else \
-        np.asarray(b, dtype=float).reshape(grid.cells_shape)
-    if np.any(bcells <= 0):
-        raise ValueError("b must be > 0 cellwise")
     p = grid.p
-    c = k * grid.cell_volume * bcells.reshape(-1)
+    c = np.full(grid.n_cells, k * grid.cell_volume)
     # z may be nonzero off the free nodes: its anchors there stay fixed
     z_anchor = operators.anchor_op(grid) @ z.flat
 
-    def fidelity(v0, u, rest=None):
+    def fidelity(v0, u):
         # exact on the nodes measured from z, where v0 is z's value
         d = (v0 - z_anchor) + u
         d1 = c * _odd(d, p)
-        if rest is not None and p < 2.0:
-            d2 = _secant_curvature(c, p, d, d1, rest())
-        else:
-            d2 = operators.hessian_diagonal(grid.dim, None, c,
-                                            abs_pow(d, p - 2.0), p)
-        return float(c @ np.abs(d) ** p) / p, d1, d2
+
+        def curvature(rest):
+            if p < 2.0:  # Hessians from z: rest is given
+                return _secant_curvature(c, p, d, d1, rest())
+            return operators.hessian_diagonal(grid.dim, None, c,
+                                              abs_pow(d, p - 2.0), p)
+
+        return float(c @ np.abs(d) ** p) / p, d1, curvature
 
     return _convex_solve(_torsion_context(mu), fidelity, z,
                          grad_scale=max(k * z.norm_p() ** (p - 1.0), 1.0))

@@ -368,6 +368,27 @@ def test_invalid_shipped_config_values_exit_2_before_writing(
     assert f"{section}.{key}" in err[0], err
 
 
+@pytest.mark.parametrize("subcommand,key,value", [
+    ("optimize-set", "max_iter", 2),
+    ("optimize-potential", "n_starts", 1),
+    ("optimize-potential", "soft_walls", [100.0]),
+    ("optimize-potential", "max_thresh_iter", 3),
+])
+def test_option_of_the_other_optimizer_exits_2(tmp_path, subcommand, key,
+                                               value):
+    # each key is valid, but only for the other optimizer
+    payload = json.loads(json.dumps(TINY_CONFIGS[subcommand]))
+    payload["options"][key] = value
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    code, lines = _run_with_stderr([subcommand, "--config", str(cfg),
+                                    "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "options: unknown keys" in lines[0] and key in lines[0], lines
+
+
 def test_optimize_set_defaults_of_the_cli_are_the_api_defaults():
     # a config without an options section runs optimize_set on the
     # defaults of its signature
@@ -424,7 +445,7 @@ TINY_CONFIGS = {
         "weights": {"w1": 1.0},
         "objective": {"kind": "weighted_sum", "weights": [1.0, 0.5]},
         "constraint": {"kind": "volume", "c": 0.5},
-        "options": {"max_iter": 2, "n_starts": 1, "soft_walls": [100.0],
+        "options": {"n_starts": 1, "soft_walls": [100.0],
                     "max_thresh_iter": 3},
         "solver": _SMALL_SOLVER,
     },

@@ -153,9 +153,10 @@ def test_prox_band_is_f_plus_the_fidelity_hessian(monkeypatch, dim, n, p):
     g, mu = ctx.grid, ctx.mu
     rng = np.random.default_rng(8)
     z = Field(g, rng.standard_normal(g.n_nodes))   # nonzero off free too
-    k, b = 10.0, 0.5 + rng.random(g.n_cells)
-    stages = _newton_hessians(monkeypatch,
-                              lambda: torsion.prox(z, k, mu, b))
+    # k = 100: with the fidelity's one weight k vol on every row, k = 10
+    # put the rows' minimizers d* beyond d on all but one 1D row
+    k = 100.0
+    stages = _newton_hessians(monkeypatch, lambda: torsion.prox(z, k, mu))
     anchor = operators.anchor_op(g)
     A, z_anchor = anchor[:, free], anchor @ z.flat
     tctx = torsion._torsion_context(mu)
@@ -163,7 +164,7 @@ def test_prox_band_is_f_plus_the_fidelity_hessian(monkeypatch, dim, n, p):
     dctx = torsion._torsion_context(CapacitaryMeasure(g, 0.0, mu.blocked))
     K, rows = _energy_map(tctx), tctx._rows
     meas = K[rows.n_grad:, free]
-    c = k * g.cell_volume * b
+    c = np.full(g.n_cells, k * g.cell_volume)
 
     def f_part(ctx_e, v, delta):
         return hessian_f(ctx_e, operators._embed(g, free, v), free) \
@@ -193,24 +194,27 @@ def test_prox_band_is_f_plus_the_fidelity_hessian(monkeypatch, dim, n, p):
                (-1, None, torsion.MEASURE_DELTA_FLOOR)]
     for i, eps, delta in checked:
         ctx_e = dctx if eps is None else replace(dctx, eps_reg=eps)
-        r = rs[i]
-        # off the stage's start, where the fidelity rows are far from
-        # their minimizers and the secant is well conditioned
-        e = stages[i][0] + rng.standard_normal(free.size)
-        v = r + e
-        # f's smoothed gradient on the free nodes at v
-        mv = meas @ v
-        grad = energy_gradient(ctx_e, operators._embed(g, free, v)).flat[
-            free] + meas.T @ (rows.f * mv * (mv * mv + delta) ** (p / 2 - 1))
-        # the code's d: r's anchor values are exact, and so is e there
-        d = (A @ r - z_anchor) + A @ e
-        curv = torsion._secant_curvature(c, p, d, c * _odd(d, p), A @ grad)
-        major = c * abs_pow(d, p - 2.0)
-        # some rows take the secant itself, not one of its clip bounds
-        inside = (curv > (p - 1.0) * major) & (curv < major)
-        assert inside.sum() >= 2, inside.sum()
-        _assert_band_is(stages[i][1](e), f_part(ctx_e, v, delta)
-                        + operators.sandwich(A, sp.diags(curv)))
+        r, inside = rs[i], 0
+        # two points off the stage's start, where the fidelity rows are far
+        # from their minimizers and the secant is well conditioned
+        for _ in range(2):
+            e = stages[i][0] + rng.standard_normal(free.size)
+            v = r + e
+            # f's smoothed gradient on the free nodes at v
+            mv = meas @ v
+            grad = energy_gradient(ctx_e, operators._embed(g, free, v)).flat[
+                free] + meas.T @ (rows.f * mv * (mv * mv + delta)
+                                  ** (p / 2 - 1))
+            # the code's d: r's anchor values are exact, and so is e there
+            d = (A @ r - z_anchor) + A @ e
+            curv = torsion._secant_curvature(c, p, d, c * _odd(d, p),
+                                             A @ grad)
+            major = c * abs_pow(d, p - 2.0)
+            # rows that take the secant itself, not one of its clip bounds
+            inside += int(np.sum((curv > (p - 1.0) * major) & (curv < major)))
+            _assert_band_is(stages[i][1](e), f_part(ctx_e, v, delta)
+                            + operators.sandwich(A, sp.diags(curv)))
+        assert inside >= 2, inside
 
 
 def _measure_weights(c, v, p, delta):
@@ -239,7 +243,8 @@ def test_p_below_2_ladder_stages_are_consistent(monkeypatch, dim, n):
                     "converged": True}
 
     monkeypatch.setattr(torsion, "newton_refine", recording)
-    zero = lambda v0, u, rest=None: (0.0, np.zeros_like(u), np.zeros_like(u))
+    zero = lambda v0, u: (0.0, np.zeros_like(u),
+                          lambda rest: np.zeros_like(u))
     torsion._convex_solve(replace(ctx, eps_reg=1e-40), zero,
                           Field(ctx.grid, np.zeros(ctx.grid.n_nodes)),
                           grad_scale=1.0)

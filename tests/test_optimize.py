@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import plapopt.optimize as optimize_module
 from plapopt.grid import GridSpec
 from plapopt.measure import PsiSpec, from_potential, \
     lebesgue_weights, zero_measure
@@ -112,14 +113,40 @@ def test_optimize_potential_infeasible_budget():
                            ObjectiveSpec("single", 1), con, seed=0)
 
 
-def test_optimize_set_full_volume_trivial():
+def test_optimize_set_full_volume_trivial(monkeypatch):
     g = GridSpec(2, 12, (1.0, 1.0), 2.0)
     w = lebesgue_weights(g)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eigen_minimax(*args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "eigen_minimax", counting)
     res = optimize_set(g, w, ObjectiveSpec("single", 1),
                        ConstraintSpec("volume", 1.0), seed=0)
     assert res.mask.all()
     box = eigen_minimax(EnergyContext(g, zero_measure(g), w), 1)
     assert math.isclose(res.objective, box.lambdas[0], rel_tol=1e-9)
+    # the full box is one hard solve, and its one row reads the set volume
+    assert len(calls) == 1
+    assert len(res.history) == 1
+    assert res.history[0].constraint == res.constraint_value
+
+
+def test_optimize_set_weighted_sum_follows_its_weights():
+    # a weight of 1e-12 on lambda_2 leaves the set of lambda_1 alone: the
+    # thresholded density carries the objective's weights
+    g = GridSpec(2, 16, (1.0, 1.0), 2.0)
+    w = lebesgue_weights(g)
+    volume = ConstraintSpec("volume", 0.5)
+    single = optimize_set(g, w, ObjectiveSpec("single", 1), volume, seed=0,
+                          n_starts=1)
+    summed = optimize_set(g, w, ObjectiveSpec("weighted_sum",
+                                              weights=(1.0, 1e-12)),
+                          volume, seed=0, n_starts=1)
+    assert np.array_equal(summed.mask, single.mask)
+    assert math.isclose(summed.objective, single.objective, rel_tol=1e-9)
 
 
 def test_optimize_set_faber_krahn_small():

@@ -53,7 +53,7 @@ def test_torsion_against_dense_solve():
 
 def test_p2_prox_against_dense_solve():
     # (A + k M) v = k M z on the free nodes, A from an independent dense
-    # assembly and M the anchor mass vol b of each free node's cell; z is
+    # assembly and M the anchor mass vol of each free node's cell; z is
     # nonzero off the free nodes too, where it must not enter
     n, k = 32, 7.0
     g = GridSpec(1, n, (1.0,), 2.0)
@@ -61,13 +61,11 @@ def test_p2_prox_against_dense_solve():
     V = rng.random(n) * 3.0
     blocked = np.zeros(n, dtype=bool)
     blocked[[5, 20]] = True
-    b = 0.5 + rng.random(n)
     z = Field(g, rng.standard_normal(g.n_nodes))
-    v, rep = prox(z, k, CapacitaryMeasure(g, V, blocked), b)
+    v, rep = prox(z, k, CapacitaryMeasure(g, V, blocked))
     assert rep.converged
     A, _, free = dense_pencil_1d(n, 1.0, V, np.ones(n), np.zeros(n), blocked)
-    # cell c anchors on interior node c - 1
-    mass = g.spacing[0] * b[free + 1]
+    mass = np.full(free.size, g.spacing[0])
     dense = sla.solve(A + k * np.diag(mass), k * mass * z.values[free])
     assert np.max(np.abs(v.values[free] - dense)) <= 1e-12
     off = np.setdiff1d(np.arange(g.n_nodes), free)
@@ -205,8 +203,6 @@ def test_prox_rejects_bad_args():
     z = Field(g, np.zeros(g.n_nodes))
     with pytest.raises(ValueError):
         prox(z, 0.0, zero_measure(g))
-    with pytest.raises(ValueError):
-        prox(z, 1.0, zero_measure(g), b=np.zeros(16))
 
 
 def _count_transposes(monkeypatch) -> list:
