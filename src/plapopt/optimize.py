@@ -5,7 +5,7 @@ Both steer by one eigenfield density (_density), the objective's
 weighted sum of |u_m|^p over its active eigenfields.  Potentials run
 projected descent: the derivative of an eigenvalue with respect to the
 cell density is the eigenfield mass |u|^p / p there, the step is
-re-projected onto the budget surface by a scalar bisection, and worse
+re-projected exactly onto the budget surface by a scalar shift, and worse
 candidates are rejected so the accepted objective never increases.  Sets
 run iterative thresholding on the density with a soft-wall continuation
 before the final hard-blocked solves; the cell count of the set is pinned
@@ -14,6 +14,7 @@ exactly throughout.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,6 @@ from plapopt.spectrum import (
     M_MAX_LIMIT,
 )
 
-BUDGET_PROJECT_TOL = 1e-9
-BUDGET_RESULT_TOL = 1e-6
 MAX_OUTER_ITER = 200
 # optimize_set's defaults, read by the CLI too
 N_STARTS = 3
@@ -152,9 +151,11 @@ def project_psi_budget(V, c: float, psi: PsiSpec,
                        grid: GridSpec) -> np.ndarray:
     """Rescale a potential onto the budget surface int Psi(V) = c.
 
-    Applies Psi^{-1}(clip(Psi(V) + t)) with the scalar t found by
-    bisection; the budget integral is monotone increasing in t, and the
-    result satisfies |int Psi(V') - c| <= BUDGET_PROJECT_TOL * c.
+    Applies Psi^{-1}(clip(Psi(V) + t)) with the scalar t that solves
+    budget(t) = c exactly: the budget is continuous, nondecreasing and
+    linear between its kinks 1e-300 - Psi(V_i) and Psi(0) - Psi(V_i), so
+    a binary search over the sorted kinks brackets c and t interpolates
+    linearly between the two.
     """
     V = np.asarray(V, dtype=float)
     if np.any(V < 0):
@@ -167,32 +168,26 @@ def project_psi_budget(V, c: float, psi: PsiSpec,
         shifted = np.clip(psi_vals + t, 1e-300, lo_val)
         return vol * float(shifted.sum())
 
-    if abs(budget(0.0) - c) <= BUDGET_PROJECT_TOL * c:
-        return np.asarray(psi.inverse(np.clip(psi_vals, 1e-300, lo_val)),
-                          dtype=float)
-    t_lo, t_hi = 0.0, 0.0
-    if budget(0.0) < c:
-        t_hi = 1.0
-        while budget(t_hi) < c:
-            t_hi *= 2.0
-            if t_hi > 1e300:
-                raise InfeasibleConstraint("budget level not attainable")
-    else:
-        t_lo = -1.0
-        while budget(t_lo) > c:
-            t_lo *= 2.0
-            if t_lo < -1e300:
-                raise InfeasibleConstraint("budget level not attainable")
-    for _ in range(400):
-        t_mid = 0.5 * (t_lo + t_hi)
-        val = budget(t_mid)
-        if abs(val - c) <= BUDGET_PROJECT_TOL * c:
-            break
-        if val < c:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    shifted = np.clip(psi_vals + t_mid, 1e-300, lo_val)
+    # past every kink the budget is flat (exp) or reaches c by t = c / vol
+    # (power, Psi(0) = inf: no upper kinks, and every cell adds vol * t)
+    flat = psi_vals.ravel()
+    kinks = [1e-300 - flat, [c / vol]]
+    if math.isfinite(lo_val):
+        kinks.append(lo_val - flat)
+    points = np.sort(np.concatenate(kinks))
+    points = points[np.isfinite(points)]
+    j = bisect.bisect_left(points, c, key=budget)
+    if j == 0:  # c at or below the floor, or a power-family cell at V = 0
+        raise InfeasibleConstraint("budget level not attainable")
+    if j == len(points):
+        # c above vol * n * Psi(0) (exp family), which can round below the
+        # cap |box| Psi(0) that validate_for admits; V = 0 meets that cap
+        ConstraintSpec("psi_budget", c, psi).validate_for(grid)
+        return np.zeros_like(V)
+    t0, t1 = points[j - 1], points[j]
+    b0 = budget(t0)
+    t = t0 + (t1 - t0) * (c - b0) / (budget(t1) - b0)
+    shifted = np.clip(psi_vals + t, 1e-300, lo_val)
     return np.asarray(psi.inverse(shifted), dtype=float)
 
 
@@ -300,11 +295,10 @@ def psi_volume_of(grid: GridSpec, V: np.ndarray, psi: PsiSpec) -> float:
     return psi_volume(from_potential(grid, V), psi)
 
 
-def _threshold_mask(grid: GridSpec, density: np.ndarray, n_keep: int,
-                    tie_break: np.ndarray) -> np.ndarray:
-    """Keep the n_keep largest-density cells, deterministic under ties."""
-    flat = density.reshape(-1)
-    order = np.lexsort((tie_break.reshape(-1), -flat))
+def _threshold_mask(grid: GridSpec, density: np.ndarray,
+                    n_keep: int) -> np.ndarray:
+    """Keep the n_keep largest-density cells; ties go to the lower index."""
+    order = np.argsort(-density.reshape(-1), kind="stable")
     mask = np.zeros(grid.n_cells, dtype=bool)
     mask[order[:n_keep]] = True
     return mask.reshape(grid.cells_shape)
@@ -340,12 +334,11 @@ def optimize_set(grid: GridSpec, weights: WeightPair,
     if n_keep == grid.n_cells:  # the full box: one hard solve
         n_starts, soft_walls = 1, ()
 
-    tie_break = np.arange(grid.n_cells, dtype=float)
     best = None  # (objective, mask, spectrum)
     history: list[HistoryRow] = []
     for start in range(n_starts):
         rng = np.random.default_rng(seed * 1009 + start)
-        mask = _initial_blob(grid, n_keep, rng, tie_break)
+        mask = _initial_blob(grid, n_keep, rng)
         for s in (*soft_walls, math.inf):
             for _ in range(max_thresh_iter):
                 # a wall of +inf blocks the complement: from_quasi_open(mask)
@@ -360,7 +353,7 @@ def optimize_set(grid: GridSpec, weights: WeightPair,
                         len(history), best[0], n_keep * grid.cell_volume,
                         accepted))
                 new_mask = _threshold_mask(
-                    grid, _density(grid, objective, spec), n_keep, tie_break)
+                    grid, _density(grid, objective, spec), n_keep)
                 if np.array_equal(new_mask, mask):
                     break
                 mask = new_mask
@@ -372,8 +365,8 @@ def optimize_set(grid: GridSpec, weights: WeightPair,
                           converged=True)
 
 
-def _initial_blob(grid: GridSpec, n_keep: int, rng: np.random.Generator,
-                  tie_break: np.ndarray) -> np.ndarray:
+def _initial_blob(grid: GridSpec, n_keep: int,
+                  rng: np.random.Generator) -> np.ndarray:
     """Smooth random bump field thresholded to the requested cell count."""
     centers = grid.cell_centers().reshape(-1, grid.dim)
     dens = np.zeros(centers.shape[0])
@@ -382,6 +375,5 @@ def _initial_blob(grid: GridSpec, n_keep: int, rng: np.random.Generator,
         c = rng.uniform(0.25, 0.75, size=grid.dim) * lengths
         width = rng.uniform(0.15, 0.4) * float(lengths.min())
         dens += np.exp(-np.sum((centers - c) ** 2, axis=1) / (2 * width ** 2))
-    return _threshold_mask(grid, dens.reshape(grid.cells_shape), n_keep,
-                           tie_break)
+    return _threshold_mask(grid, dens.reshape(grid.cells_shape), n_keep)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,44 @@ def test_project_psi_budget_scalar_cases():
     P2 = project_psi_budget(P1, 0.3, psi, g)
     assert np.allclose(P1, P2, atol=1e-8)
     assert abs(psi_volume_of(g, P1, psi) - 0.3) <= 1e-9 * 0.3
+
+
+@pytest.mark.parametrize("psi", [PsiSpec("exp", 1.0), PsiSpec("exp", 3.0),
+                                 PsiSpec("power", 1.0)],
+                         ids=["exp1", "exp3", "power1"])
+@pytest.mark.parametrize("grid", [GridSpec(1, 128, (1.0,), 2.0),
+                                  GridSpec(2, 64, (1.0, 1.0), 2.0)],
+                         ids=["1d", "2d"])
+def test_project_psi_budget_meets_the_budget_to_round_off(psi, grid):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        V = rng.random(grid.cells_shape) * rng.uniform(0.1, 5.0)
+        if psi.kind == "power":  # every budget in (0, inf) is attainable
+            V += 0.05
+            c = rng.uniform(0.05, 5.0)
+        else:  # attainable up to Psi(0) |box|
+            c = rng.uniform(0.01, 0.99) * grid.box_volume
+        P = project_psi_budget(V, c, psi, grid)
+        assert abs(psi_volume_of(grid, P, psi) - c) <= 1e-13 * c
+
+
+def test_project_psi_budget_limits():
+    # a power-family cell at V = 0 has Psi = inf, so no shift meets c
+    g = GridSpec(1, 128, (1.0,), 2.0)
+    V = np.random.default_rng(0).random(128) + 0.1
+    V[5] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleConstraint):
+            project_psi_budget(V, 0.5, PsiSpec("power", 1.0), g)
+    # on n = 49 the top of the exp budget, n h Psi(0), rounds below |box|;
+    # c = |box| is still the budget of V = 0, and beyond it nothing is
+    g49 = GridSpec(1, 49, (1.0,), 2.0)
+    psi = PsiSpec("exp", 1.0)
+    assert np.array_equal(project_psi_budget(np.ones(49), 1.0, psi, g49),
+                          np.zeros(49))
+    with pytest.raises(InfeasibleConstraint):
+        project_psi_budget(np.ones(49), 1.0 + 1e-9, psi, g49)
 
 
 def test_optimize_potential_vacuous_budget():
