@@ -12,7 +12,11 @@ rows of free-node values, each iteration starting from twice the last
 accepted step.  With N free nodes no sphere of dimension m > N exists, so
 those levels are infeasible at every p.
 Reported eigenpairs are polished by a damped Newton iteration on the
-eigen-equation and certified through their residual.
+eigen-equation and certified through their residual.  A general-p level
+polishes its argmax after the 1st, 2nd, 4th, ... accepted outer step and
+ends at the first pair that certifies without leaving the level's
+bounds; its reported subspace bound is the smaller of the descent's and
+the supremum over the span of the polished fields of levels 1..m.
 
 All randomness derives from a caller seed, so repeated runs coincide.
 """
@@ -129,7 +133,9 @@ class SolverOptions:
     trust-region trials of each start, accepted or not, so it bounds the
     kernel rounds of one inner search.  max_outer_iter caps the outer
     basis-descent iterations of a level; each makes up to 6 warm inner
-    searches, from twice the last accepted step down by factors of 4.
+    searches, from twice the last accepted step down by factors of 4.  It
+    is a cap, not a count: a level ends at the first certified polish on
+    the schedule of 1, 2, 4, 8, ... accepted steps.
     """
 
     n_starts: int = 32
@@ -663,9 +669,11 @@ def eigen_minimax(ctx: EnergyContext, m_max: int, *, seed: int = 0,
     p = 2 values come straight from the pencil and are exact at linear
     algebra accuracy; levels the pencil's Lanczos iteration left
     unconverged are unresolved.  For general p each level reports the best
-    subspace upper bound found, with the eigenfield polished out of the
-    inner argmax; levels are flagged infeasible when no subspace sphere
-    fits in the feasible cone and unresolved when certification fails.
+    subspace upper bound found (the smaller of the outer descent's and the
+    supremum over the span of the polished fields u_1..u_m), with the
+    eigenfield polished out of the inner argmax; levels are flagged
+    infeasible when no subspace sphere fits in the feasible cone and
+    unresolved when certification fails.
     """
     if not 1 <= m_max <= M_MAX_LIMIT:
         raise ValueError(f"m_max must be in 1..{M_MAX_LIMIT}")
@@ -752,13 +760,18 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
 
     levels = []
     for m in range(1, min(m_max, idx.size) + 1):
-        level = _minimax_level(ev, idx, m, seeds, rng, opts, seed)
+        prev = levels[-1][0] if levels else -math.inf
+        level = _minimax_level(ev, idx, m, seeds, rng, opts, seed, prev)
         if level is None:
             break
         bound, lam, u, res = level
-        prev = levels[-1][0] if levels else -math.inf
+        # the span holds u, so its supremum is at least lam = R(u); the max
+        # drops the round-off between the two ways of evaluating R
+        span = _span_bound(ctx, [*(lev[1] for lev in levels), u],
+                           seed + 101 * m, opts)
+        bound = min(bound, max(span, lam))
         status = FINITE if _certified(ctx, u, lam, res) else UNRESOLVED
-        if lam < prev - 1e-9 * max(abs(prev), 1.0):
+        if _slides_below(lam, prev):
             # the polished pair slid below the previous level; keep the
             # ordering by reporting the subspace bound, uncertified
             lam, status = max(bound, prev), UNRESOLVED
@@ -768,15 +781,42 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
     return _spectral_result(levels, m_max, INFEASIBLE)
 
 
+def _slides_below(lam: float, prev: float) -> bool:
+    """True when lam lies below the previous level prev beyond round-off."""
+    return lam < prev - 1e-9 * max(abs(prev), 1.0)
+
+
+def _span_bound(ctx: EnergyContext, fields: list[Field], seed: int,
+                opts: SolverOptions) -> float:
+    """Supremum of the ratio over the span of the polished fields u_1..u_m,
+    an upper bound of level m; inf when that span is numerically
+    dependent or leaves the cone.  The search is cold: a warm start from
+    u_m stops at the critical value of u_m, below the supremum."""
+    try:
+        cand = SubspaceCandidate(tuple(fields))
+    except ValueError:
+        return math.inf
+    try:
+        return sup_on_sphere(ctx, cand, seed=seed, options=opts)[0]
+    except InfeasibleSubspace:
+        return math.inf
+
+
 def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
-                   rng: np.random.Generator, opts: SolverOptions, seed: int):
+                   rng: np.random.Generator, opts: SolverOptions, seed: int,
+                   prev: float):
     """Level m <= idx.size of the outer minimization; None when infeasible.
 
     The trial subspace is V, m orthonormal rows of values on the free
     nodes idx.  The first of MAX_RESTARTS initial ones whose sphere fits
     in the cone starts the descent: the seed rows filled up with random
     rows, then fully random rows.  Each outer step moves V along the
-    gradient of the ratio at the argmax xi V.
+    gradient of the ratio at the argmax xi V.  After the 1st, 2nd, 4th,
+    8th, ... accepted step the argmax is polished, and the level ends at
+    the first polished pair that certifies, lies at or below the descent
+    bound and does not slide below the previous level prev.  Otherwise
+    the descent runs to max_outer_iter or a stall, and the last V is
+    polished once.  Returns (descent bound, lambda, field, residual).
     """
     ctx = ev.ctx
 
@@ -788,6 +828,9 @@ def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
                                        for row in V))
         return sup_on_sphere(ctx, cand, seed=seed + 101 * m, options=opts,
                              _warm_xi=warm_xi)
+
+    def polish(V, xi):
+        return polish_eigenpair(ctx, _embed(ctx.grid, idx, xi @ V))
 
     def initial_subspaces():
         base = seeds[:m]
@@ -806,7 +849,9 @@ def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
         return None
 
     accepted_step = None
-    for _ in range(opts.max_outer_iter):
+    polished = None     # the pair polished at the current V, if any
+    # every iteration that does not break accepts a step
+    for steps in range(1, opts.max_outer_iter + 1):
         parts = ev.parts(xi @ V)
         gradR = ev._ratio_gradient(parts, val, parts.g1 - parts.g2)
         scale = np.linalg.norm(gradR)
@@ -826,10 +871,16 @@ def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
             step *= 0.25
         else:
             break           # no trial lowered the supremum
-        prev, val, V, xi = val, val_new, V_new, xi_new
+        last, val, V, xi = val, val_new, V_new, xi_new
         accepted_step = step
-        if prev - val <= 1e-7 * max(abs(val), 1.0):
+        polished = None
+        if steps & (steps - 1) == 0:        # steps 1, 2, 4, 8, ...
+            polished = lam, u, res = polish(V, xi)
+            if (_certified(ctx, u, lam, res) and lam <= val
+                    and not _slides_below(lam, prev)):
+                return val, lam, u, res
+        if last - val <= 1e-7 * max(abs(val), 1.0):
             break
 
-    lam, u, res = polish_eigenpair(ctx, _embed(ctx.grid, idx, xi @ V))
+    lam, u, res = polished or polish(V, xi)
     return val, lam, u, res

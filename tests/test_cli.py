@@ -579,6 +579,18 @@ def test_sign_changing_config_solves_on_the_sparse_pencil(tmp_path):
     assert results["statuses"] == ["finite"] * 4
 
 
+def test_square_p3_config_runs_the_general_p_path(tmp_path):
+    # the shipped general-p config with m >= 2: every level certified and
+    # at or below its reported subspace bound
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(CONFIGS / "solve_square_p3.json"),
+                 "--out", str(out), "--quiet"]) == 0
+    results = json.loads((out / "results.json").read_text())
+    assert results["statuses"] == ["finite"] * 3
+    for lam, bound in zip(results["lambdas"], results["subspace_bounds"]):
+        assert lam <= bound
+
+
 def test_unconverged_pencil_exits_3_with_the_converged_pairs(
         tmp_path, monkeypatch):
     import scipy.sparse.linalg as spla
