@@ -13,10 +13,12 @@ accepted step.  With N free nodes no sphere of dimension m > N exists, so
 those levels are infeasible at every p.
 Reported eigenpairs are polished by a damped Newton iteration on the
 eigen-equation and certified through their residual.  A general-p level
-polishes its argmax after the 1st, 2nd, 4th, ... accepted outer step and
-ends at the first pair that certifies without leaving the level's
-bounds; its reported subspace bound is the smaller of the descent's and
-the supremum over the span of the polished fields of levels 1..m.
+polishes its argmax after the first accepted outer step and ends there
+when the pair certifies without leaving the level's bounds or falling
+back onto a lower level's eigenfield; otherwise it descends on and is
+polished again at the end.  Its reported subspace bound is the smaller
+of the descent's and the supremum over the span of the polished fields
+of levels 1..m.
 
 All randomness derives from a caller seed, so repeated runs coincide.
 """
@@ -134,8 +136,8 @@ class SolverOptions:
     kernel rounds of one inner search.  max_outer_iter caps the outer
     basis-descent iterations of a level; each makes up to 6 warm inner
     searches, from twice the last accepted step down by factors of 4.  It
-    is a cap, not a count: a level ends at the first certified polish on
-    the schedule of 1, 2, 4, 8, ... accepted steps.
+    is a cap, not a count: a level whose argmax, polished after the first
+    accepted step, certifies ends there.
     """
 
     n_starts: int = 32
@@ -761,14 +763,15 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
     levels = []
     for m in range(1, min(m_max, idx.size) + 1):
         prev = levels[-1][0] if levels else -math.inf
-        level = _minimax_level(ev, idx, m, seeds, rng, opts, seed, prev)
+        lower = [lev[1] for lev in levels]
+        level = _minimax_level(ev, idx, m, seeds, rng, opts, seed, prev,
+                               lower)
         if level is None:
             break
         bound, lam, u, res = level
         # the span holds u, so its supremum is at least lam = R(u); the max
         # drops the round-off between the two ways of evaluating R
-        span = _span_bound(ctx, [*(lev[1] for lev in levels), u],
-                           seed + 101 * m, opts)
+        span = _span_bound(ctx, [*lower, u], seed + 101 * m, opts)
         bound = min(bound, max(span, lam))
         status = FINITE if _certified(ctx, u, lam, res) else UNRESOLVED
         if _slides_below(lam, prev):
@@ -784,6 +787,15 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
 def _slides_below(lam: float, prev: float) -> bool:
     """True when lam lies below the previous level prev beyond round-off."""
     return lam < prev - 1e-9 * max(abs(prev), 1.0)
+
+
+def _independent(fields: list[Field]) -> bool:
+    """True when the fields are a numerically independent basis."""
+    try:
+        SubspaceCandidate(tuple(fields))
+    except ValueError:
+        return False
+    return True
 
 
 def _span_bound(ctx: EnergyContext, fields: list[Field], seed: int,
@@ -804,19 +816,22 @@ def _span_bound(ctx: EnergyContext, fields: list[Field], seed: int,
 
 def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
                    rng: np.random.Generator, opts: SolverOptions, seed: int,
-                   prev: float):
+                   prev: float, lower: list[Field]):
     """Level m <= idx.size of the outer minimization; None when infeasible.
 
     The trial subspace is V, m orthonormal rows of values on the free
     nodes idx.  The first of MAX_RESTARTS initial ones whose sphere fits
     in the cone starts the descent: the seed rows filled up with random
     rows, then fully random rows.  Each outer step moves V along the
-    gradient of the ratio at the argmax xi V.  After the 1st, 2nd, 4th,
-    8th, ... accepted step the argmax is polished, and the level ends at
-    the first polished pair that certifies, lies at or below the descent
-    bound and does not slide below the previous level prev.  Otherwise
-    the descent runs to max_outer_iter or a stall, and the last V is
-    polished once.  Returns (descent bound, lambda, field, residual).
+    gradient of the ratio at the argmax xi V.  After the first accepted
+    step the argmax is polished, and the level ends there when the pair
+    certifies, lies at or below the descent bound, does not slide below
+    the previous level prev and is independent of the polished fields
+    lower of levels 1..m-1 (a polish that falls back onto a lower level's
+    eigenfield does not end the level).  Otherwise the descent runs to
+    max_outer_iter or a stall, and the last V is polished once more, so a
+    level makes at most two polishes.  Returns (descent bound, lambda,
+    field, residual).
     """
     ctx = ev.ctx
 
@@ -850,8 +865,7 @@ def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
 
     accepted_step = None
     polished = None     # the pair polished at the current V, if any
-    # every iteration that does not break accepts a step
-    for steps in range(1, opts.max_outer_iter + 1):
+    for _ in range(opts.max_outer_iter):
         parts = ev.parts(xi @ V)
         gradR = ev._ratio_gradient(parts, val, parts.g1 - parts.g2)
         scale = np.linalg.norm(gradR)
@@ -872,13 +886,14 @@ def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
         else:
             break           # no trial lowered the supremum
         last, val, V, xi = val, val_new, V_new, xi_new
-        accepted_step = step
         polished = None
-        if steps & (steps - 1) == 0:        # steps 1, 2, 4, 8, ...
+        if accepted_step is None:       # the first accepted step
             polished = lam, u, res = polish(V, xi)
             if (_certified(ctx, u, lam, res) and lam <= val
-                    and not _slides_below(lam, prev)):
+                    and not _slides_below(lam, prev)
+                    and _independent([*lower, u])):
                 return val, lam, u, res
+        accepted_step = step
         if last - val <= 1e-7 * max(abs(val), 1.0):
             break
 

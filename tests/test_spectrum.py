@@ -774,8 +774,8 @@ def test_a_level_stops_at_its_first_certified_polish(monkeypatch):
 
 def test_a_level_whose_polish_fails_keeps_descending(monkeypatch):
     # the polish, not the iteration cap, ends a level: with the first
-    # polished pair uncertified, level 1 takes more outer steps and is
-    # certified by the polish after its second accepted step
+    # polished pair uncertified, level 1 descends on to a stall or the cap
+    # and is certified by its final polish, one polish more than unpatched
     import plapopt.spectrum as spectrum_mod
 
     ctx = plain_ctx(16, p=3.0, dim=2)
@@ -802,6 +802,35 @@ def test_a_level_whose_polish_fails_keeps_descending(monkeypatch):
     assert result.statuses == ["finite"] * 3
     assert len(polishes) > plain_polishes
     assert len(calls) > plain_calls
+
+
+def test_a_level_polishes_at_most_twice(monkeypatch):
+    # a level whose polishes never certify pays one polish after its first
+    # accepted step and one at the end of its descent, no more
+    import plapopt.spectrum as spectrum_mod
+
+    real_polish = spectrum_mod.polish_eigenpair
+    polishes = []
+
+    def uncertified(ctx, u):
+        polishes.append(None)
+        lam, field, _ = real_polish(ctx, u)
+        return lam, field, math.inf
+
+    monkeypatch.setattr(spectrum_mod, "polish_eigenpair", uncertified)
+    result = eigen_minimax(plain_ctx(16, p=3.0, dim=2), 3, seed=1)
+    assert result.statuses == ["unresolved"] * 3
+    assert len(polishes) <= 2 * 3
+
+
+def test_a_finite_level_is_not_a_lower_levels_eigenfield():
+    # on the p = 1.5 square the first polish of level 3 falls back onto
+    # level 2's eigenfield, certified and at lambda2; that must not end
+    # level 3 as a finite pair
+    result = eigen_minimax(plain_ctx(16, p=1.5, dim=2), 3, seed=1)
+    for m in range(2, 4):
+        if result.status_of(m) == "finite":
+            SubspaceCandidate(tuple(result.eigenfields[:m]))
 
 
 def test_a_level_tries_each_initial_subspace_once(monkeypatch):
