@@ -9,8 +9,9 @@ row of sum c |y|^p / p contributes the diagonal (p-1) c |y|^(p-2).
 Negative powers of |y| are clamped as by abs_pow, so the Newton model
 stays bounded near zeros of the field.
 
-A solve sums these weights through one operators.term_list on
-pattern(): the Newton steps of torsion and prox into band storage, the
+weights() reads them from the kernel pass that gave the caller's value
+and gradient, and a solve sums them through one operators.term_list on
+pattern(): Newton steps of torsion and prox into band storage, the
 eigenpair polish f - lambda (g1 - g2) into csr.  Every such W carries
 the Dirichlet term.  The reference Hessians that the tests check
 everything else against multiply W out (operators.sandwich): hessian_f
@@ -28,8 +29,8 @@ from plapopt.energy import EnergyContext, _energy_map, _kernel
 from plapopt.grid import Field
 
 
-def weights(ctx: EnergyContext, y: np.ndarray, c: np.ndarray):
-    """Kernel parts at y = K x and W's values on its pattern.
+def weights(ctx: EnergyContext, y: np.ndarray, curv, c: np.ndarray):
+    """W's values on its pattern from curv of _kernel(ctx, y, hess=True).
 
     W holds the Hessian weights of the p-Dirichlet term plus
     sum c |y|^p / p over the measure rows: c is rows.f for f, and
@@ -37,7 +38,6 @@ def weights(ctx: EnergyContext, y: np.ndarray, c: np.ndarray):
     pattern is pattern(ctx, y.size).  g1 - g2 alone has no Dirichlet
     term; hessian_g_diff builds its measure-row diagonal directly.
     """
-    parts, curv = _kernel(ctx, y, hess=True)
     rows, grid = ctx._rows, ctx.grid
     w = [operators.hessian_diagonal(grid.dim, curv.hcell, c, curv.hmeas,
                                     ctx.p)]
@@ -46,7 +46,7 @@ def weights(ctx: EnergyContext, y: np.ndarray, c: np.ndarray):
         grads = y[:rows.n_grad].reshape(grid.dim, grid.n_cells)
         w += [curv.hout * grads[a] * grads[b]
               for a in range(grid.dim) for b in range(grid.dim)]
-    return parts, np.concatenate(w)
+    return np.concatenate(w)
 
 
 def pattern(ctx: EnergyContext, n_rows: int):
@@ -65,8 +65,9 @@ def pattern(ctx: EnergyContext, n_rows: int):
 
 def assemble(ctx: EnergyContext, KF, y: np.ndarray, c: np.ndarray):
     """Kernel parts at y = K x and K_F^T W K_F from the same pass."""
-    parts, w = weights(ctx, y, c)
-    W = sp.csr_matrix((w, pattern(ctx, y.size)), shape=(y.size,) * 2)
+    parts, curv = _kernel(ctx, y, hess=True)
+    W = sp.csr_matrix((weights(ctx, y, curv, c), pattern(ctx, y.size)),
+                      shape=(y.size,) * 2)
     return parts, operators.sandwich(KF, W)
 
 

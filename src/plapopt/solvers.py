@@ -1,9 +1,10 @@
 """Unconstrained minimization loops.
 
 newton_refine takes the convex solvers' damped Newton steps on a banded
-Hessian; bb_minimize (Barzilai-Borwein, monotone Armijo) has no caller and
-is kept only for the benchmark tracer's span.  Callers work on flat
-vectors; the objective may be +inf outside a domain, the search backtracks.
+Hessian, which one evaluate(x) gives with the value and gradient at x;
+bb_minimize (Barzilai-Borwein, monotone Armijo) has no caller and is kept
+only for the benchmark tracer's span.  Callers work on flat vectors; the
+objective may be +inf outside a domain, the search backtracks.
 
 Near a minimizer a Newton step predicts a decrease -t g.d below the
 round-off of f itself, so Armijo's value test can no longer rank trial
@@ -102,7 +103,7 @@ def _info(iterations, decrement, converged, value, gn):
     }
 
 
-def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
+def newton_refine(x0: np.ndarray, evaluate, *,
                   max_iter: int = 80,
                   tol_decrement: float = 1e-10,
                   tol_grad: float = 1e-8,
@@ -110,7 +111,9 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
                   grad_scale: float = 1.0):
     """Damped Newton with Levenberg shifts for a convex objective.
 
-    ``hessian(x)`` returns the Hessian in LAPACK upper band storage: an
+    ``evaluate(x)`` returns the value and gradient at x and a function
+    hessian() that builds, from the same evaluation, the Hessian at x
+    (called at accepted points only) in LAPACK upper band storage: an
     (bw + 1, n) array whose entry [bw + i - j, j] is H[i, j] for
     j - bw <= i <= j, so its last row is the diagonal (the layout of
     scipy.linalg.cholesky_banded).  Each try costs a banded Cholesky
@@ -121,12 +124,14 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
     of their p < 2 smoothing ladder.  A trial step whose predicted
     decrease is below VALUE_RESOLUTION |f| is accepted when it lowers
     grad_norm and raises f by at most that resolution (see the module
-    docstring).
+    docstring).  Returns (x, info) as bb_minimize; a stop at max_iter or
+    with no descending step reports its last iteration and the relative
+    decrease of its last accepted step (0 before the first).
     """
     if grad_norm is None:
         grad_norm = lambda g: float(np.linalg.norm(g))
     x = np.asarray(x0, dtype=float).copy()
-    f, g = value_and_grad(x)
+    f, g, hessian = evaluate(x)
     gn = grad_norm(g)
     scale = max(abs(grad_scale), 1e-300)
     # no step taken yet: an iterate that passes the gradient test needs none
@@ -137,7 +142,7 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
         if gn <= tol_grad * scale and decrement <= tol_decrement:
             return x, _info(it - 1, min(decrement, tol_decrement), True,
                             f, gn)
-        band = hessian(x)
+        band = hessian()
         dscale = max(float(np.abs(band[-1]).max()), 1e-300)
         accepted = False
         for _ in range(25):
@@ -157,7 +162,7 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
                     step = 1.0
                     for _ in range(40):
                         x_new = x + step * d
-                        f_new, g_new = value_and_grad(x_new)
+                        f_new, g_new, hessian_new = evaluate(x_new)
                         accepted = math.isfinite(f_new) and (
                             f_new <= f + 1e-4 * step * gd
                             if -step * gd > floor else
@@ -175,7 +180,7 @@ def newton_refine(x0: np.ndarray, value_and_grad, hessian, *,
         # a step accepted at the round-off floor may raise f within its
         # resolution: that is no decrease, not a negative one
         decrement = max(f - f_new, 0.0) / max(abs(f), abs(f_new), 1e-300)
-        x, f, g = x_new, f_new, g_new
+        x, f, g, hessian = x_new, f_new, g_new, hessian_new
         gn = grad_norm(g)
         lm = lm / 4.0 if lm > 1e-14 else 0.0
     converged = gn <= tol_grad * scale and decrement <= tol_decrement

@@ -571,9 +571,9 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
                      ) -> tuple[float, Field, float]:
     """Damped Newton on (f'(u) - lambda (g1'-g2')(u), g1-g2-1) = 0.
 
-    Each step reads the Hessian of f - lambda (g1 - g2) from one kernel
-    pass and the call's one term list.  Returns (lambda, field, residual);
-    the input only needs to be a feasible approximation.
+    A step reads residual and Hessian from the kernel pass that accepted
+    its point, through the call's one term list.  Returns (lambda, field,
+    residual); the input only needs to be a feasible approximation.
     """
     grid = ctx.grid
     rows = ctx._rows
@@ -586,20 +586,22 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
     u = _normalize(ctx, u)
     lam = rayleigh(ctx, u)
 
-    def system(parts, lam: float):
-        """Eigen-equation residual on the free nodes, g1 - g2, g1 and
-        the gradient of g1 - g2 from the kernel parts at x."""
+    def at(x, lam: float):
+        """Eigen-equation residual on the free nodes, g1 - g2, g1, the
+        gradient of g1 - g2 and a function of W from one pass at x."""
+        y = ev.KM @ x
+        parts, curv = _kernel(ctx, y, hess=True)
         gdiff = KM_meas_t @ (parts.dg1 - parts.dg2)
         return (KM_t @ parts.df - lam * gdiff, parts.g1 - parts.g2,
-                parts.g1, gdiff)
+                parts.g1, gdiff, lambda: hessians.weights(
+                    ctx, y, curv, rows.f - lam * (rows.g1 - rows.g2)))
 
     x = u.flat[idx]
     best = (lam, u, residual(ctx, u, lam))
+    point = at(x, lam)
     for _ in range(NEWTON_MAX_ITER):
-        parts, w = hessians.weights(ctx, ev.KM @ x,
-                                    rows.f - lam * (rows.g1 - rows.g2))
-        r, denom, _, gdiff = system(parts, lam)
-        J = sp.bmat([[terms.csr(w), -sp.csc_matrix(gdiff).T],
+        r, denom, _, gdiff, weights = point
+        J = sp.bmat([[terms.csr(weights()), -sp.csc_matrix(gdiff).T],
                      [sp.csc_matrix(gdiff), None]], format="csc")
         rhs = -np.concatenate([r, [denom - 1.0]])
         # an exactly singular J gives NaN (and a MatrixRankWarning)
@@ -612,7 +614,8 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
         for _ in range(30):
             x_new = x + step * delta[:-1]
             lam_new = lam + step * delta[-1]
-            r_new, denom, g1, _ = system(ev.parts(x_new), lam_new)
+            trial = at(x_new, lam_new)
+            r_new, denom, g1, _, _ = trial
             if denom > ctx.feasibility_tol(g1):
                 rn = np.concatenate([r_new, [denom - 1.0]])
                 if np.linalg.norm(rn) < res0 * (1.0 - 1e-4 * step):
@@ -621,7 +624,7 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
             step *= 0.5
         if not accepted:
             break
-        x, lam = x_new, lam_new
+        x, lam, point = x_new, lam_new, trial
         resn = dual_norm(ctx, r_new)
         if resn < best[2]:
             best = (lam, _embed(grid, idx, x), resn)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from plapopt.grid import Field, anchor_values, integrate
+from plapopt.grid import Field
 from plapopt.measure import CapacitaryMeasure, lebesgue_weights
 from plapopt.energy import (
     EnergyContext,
@@ -99,7 +99,8 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
     rows, before the one K_F^T product.  rest() gives the force of the
     rest of the objective on each anchor row's node, for a term that
     shapes its curvature by it (prox at p < 2); the p = 2 profile passes
-    None.
+    None.  One K product, kernel pass and term call give a Newton point's
+    value, gradient and Hessian (solvers.newton_refine's evaluate).
 
     The p = 2 profile is one exact Newton step from 0 of the p = 2 energy
     plus the term's quadratic model at v = 0; at p = 2 it is the
@@ -162,7 +163,7 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
         # K's anchor rows select one node each: these are r's values
         v0 = y_r[anchors]
 
-        def rows_at(e):
+        def evaluate(e):
             # where delta smooths the measure rows v, zeroing them in y
             # drops the kernel's exact terms there
             ke = K @ e
@@ -170,39 +171,29 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
             v = y[meas].copy()
             if delta is not None:
                 y[meas] = 0.0
-            return ke[anchors], y, v
-
-        def value_and_grad(e):
-            u, y, v = rows_at(e)
-            parts = _kernel(ctx_e, y, smooth_f=True)
-            value, d1, _ = term(v0, u)
+            parts, curv = _kernel(ctx_e, y, smooth_f=True, hess=True)
+            value, d1, curvature = term(v0, ke[anchors])
             f, df = parts.f + value, parts.df
             if delta is not None:
                 t = v * v + delta
                 f += float(rows.f @ (t ** (p / 2) - delta ** (p / 2))) / p
                 df[meas] = rows.f * v * t ** (p / 2 - 1)
+            # f's weights alone: rest() maps them to their force on a node
+            rest = df.copy()
             df[anchors] += d1
-            return f, KT @ df
 
-        def hess(e):
-            u, y, v = rows_at(e)
-            parts, w = hessians.weights(ctx_e, y, rows.f)
-            if delta is not None:
-                t = v * v + delta
-                w[meas] = rows.f * t ** (p / 2 - 2) * ((p - 1) * v * v + delta)
-
-            def rest():
-                # f's gradient at each anchor row's node; only a term
-                # that reads it pays for the smoothed measure rows
-                df = parts.df
+            def hessian():
+                w = hessians.weights(ctx_e, y, curv, rows.f)
                 if delta is not None:
-                    df[meas] = rows.f * v * t ** (p / 2 - 1)
-                return K_anchor @ (KT @ df)
+                    w[meas] = rows.f * t ** (p / 2 - 2) * (
+                        (p - 1) * v * v + delta)
+                # only a term that reads the force pays for its products
+                w[anchors] += curvature(lambda: K_anchor @ (KT @ rest))
+                return terms.band(w)
 
-            w[anchors] += term(v0, u)[2](rest)
-            return terms.band(w)
+            return f, KT @ df, hessian
 
-        return value_and_grad, hess
+        return evaluate
 
     stages = [(ctx.eps_reg, None)]      # (eps, delta); None: exact rows
     if p < 2.0:
@@ -225,7 +216,7 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
         tols = (dict(max_iter=200, tol_decrement=DEFAULT_TOL_DECREMENT,
                      tol_grad=DEFAULT_TOL_GRAD) if i == len(stages) - 1
                 else dict(tol_decrement=1e-12, tol_grad=1e-10))
-        e, info = newton_refine(e, *make_stage(*stage, r),
+        e, info = newton_refine(e, make_stage(*stage, r),
                                 grad_norm=lambda g: dual_norm(ctx, g),
                                 grad_scale=grad_scale, **tols)
         total += info["iterations"]
@@ -256,9 +247,7 @@ def field_distance_p(a: Field, b: Field) -> float:
     """Discrete L^p distance of two fields on the same grid."""
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
-    grid = a.grid
-    diff = anchor_values(grid, a.values - b.values)
-    return float(integrate(grid, np.abs(diff) ** grid.p) ** (1.0 / grid.p))
+    return Field(a.grid, a.values - b.values).norm_p()
 
 
 def gamma_distance(mu1: CapacitaryMeasure, mu2: CapacitaryMeasure) -> float:

@@ -591,6 +591,22 @@ def test_square_p3_config_runs_the_general_p_path(tmp_path):
         assert lam <= bound
 
 
+def test_l_shape_p15_torsion_config_converges_and_reruns_identically(
+        tmp_path):
+    # the shipped p < 2 torsion config runs the smoothing ladder on an
+    # L-shaped quasi-open set; a second run writes the same files
+    config = str(CONFIGS / "torsion_l_shape_p15.json")
+    files = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["torsion", "--config", config, "--out", str(out),
+                     "--quiet"]) == 0
+        files.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                      if f.name != "manifest.json"})
+    assert json.loads(files[0]["results.json"])["converged"] is True
+    assert files[0] == files[1]
+
+
 def test_unconverged_pencil_exits_3_with_the_converged_pairs(
         tmp_path, monkeypatch):
     import scipy.sparse.linalg as spla

@@ -218,3 +218,18 @@ def test_unconverged_torsion_gives_nan_distance_and_inconclusive(
     assert rep.inconclusive and not rep.passed
     assert rep.note == "torsion did not converge for the limit"
     assert all(math.isnan(d) for d in rep.distances)
+
+
+def test_a_tail_moving_away_from_the_limit_is_inconclusive():
+    # potentials growing away from the zero limit: their torsion
+    # distances to it grow, and the values, which would pass lsc on their
+    # own, do not certify anything about that limit
+    g = GridSpec(1, 32, (1.0,), 2.0)
+    seq = custom_sequence([from_potential(g, s) for s in (1.0, 10.0, 100.0)],
+                          zero_measure(g))
+    rep = lsc_check(seq, lebesgue_weights(g), 1)
+    assert rep.distances == sorted(rep.distances)
+    assert rep.distances[0] < rep.distances[-1]
+    assert rep.margin > 0.0
+    assert rep.inconclusive and not rep.passed
+    assert rep.note == "gamma-distance tail is not settling toward the limit"

@@ -11,13 +11,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from plapopt.grid import GridSpec, Field
-from plapopt.measure import CapacitaryMeasure, WeightPair
-from plapopt.energy import (EnergyContext, _energy_map, _odd, abs_pow,
-                            energy_gradient, f_energy, g_energy, g_gradient)
+from plapopt.measure import (CapacitaryMeasure, WeightPair, lebesgue_weights,
+                             zero_measure)
+from plapopt.energy import (EnergyContext, _energy_map, _kernel, _odd,
+                            abs_pow, energy_gradient, f_energy, g_energy,
+                            g_gradient)
 from plapopt.hessians import assemble, hessian_f, hessian_g_diff
-from plapopt import hessians, operators
+from plapopt import energy, hessians, operators, spectrum
 from plapopt.operators import free_node_mask, p2_matrices
 from oracles import dense_pencil_1d
+from helpers import field_from_function
 
 # the package re-exports the function torsion under its module's name
 torsion = importlib.import_module("plapopt.torsion")
@@ -114,15 +117,17 @@ def test_band_terms_give_the_hessian_of_f(dim, n, p):
     stages = [ctx]
     if p < 2.0:     # a smoothing stage of the p < 2 continuation
         stages.append(replace(ctx, eps_reg=1e-2 * min(ctx.grid.spacing) ** 2))
+    y = K @ values
     for ctx_e in stages:
-        _, w = hessians.weights(ctx_e, K @ values, ctx._rows.f)
+        w = hessians.weights(ctx_e, y, _kernel(ctx_e, y, hess=True)[1],
+                             ctx._rows.f)
         _assert_band_is(terms.band(w),
                         hessian_f(ctx_e, Field(ctx.grid, values), free))
     # the eigenpair polish reads f - lam (g1 - g2) from the same list
     lam, rows = 3.7, ctx._rows
     c = rows.f - lam * (rows.g1 - rows.g2)
-    _, w = hessians.weights(ctx, K @ values, c)
-    _, ref = assemble(ctx, K[:, free], K @ values, c)
+    w = hessians.weights(ctx, y, _kernel(ctx, y, hess=True)[1], c)
+    _, ref = assemble(ctx, K[:, free], y, c)
     err = abs(terms.csr(w) - ref).max()
     assert err <= 1e-14 * abs(ref).max(), err / abs(ref).max()
 
@@ -133,9 +138,9 @@ def _newton_hessians(monkeypatch, solve):
     stages = []
     refine = torsion.newton_refine
 
-    def recording(x0, value_and_grad, hessian, **kwargs):
-        x, info = refine(x0, value_and_grad, hessian, **kwargs)
-        stages.append((np.array(x0), hessian, x))
+    def recording(x0, evaluate, **kwargs):
+        x, info = refine(x0, evaluate, **kwargs)
+        stages.append((np.array(x0), lambda x: evaluate(x)[2](), x))
         return x, info
 
     monkeypatch.setattr(torsion, "newton_refine", recording)
@@ -237,8 +242,9 @@ def test_p_below_2_ladder_stages_are_consistent(monkeypatch, dim, n):
     ctx, free, _, _ = _problem(dim, n, 1.5, seed=9)
     stages = []
 
-    def recording(x0, value_and_grad, hessian, **kwargs):
-        stages.append((value_and_grad, hessian))
+    def recording(x0, evaluate, **kwargs):
+        stages.append((lambda x: evaluate(x)[:2],
+                       lambda x: evaluate(x)[2]()))
         return x0, {"iterations": 0, "final_decrement": 0.0,
                     "converged": True}
 
@@ -267,6 +273,70 @@ def test_p_below_2_ladder_stages_are_consistent(monkeypatch, dim, n):
         Hv = _from_band(hessian(x)) @ v
         fd = (g_plus - g_minus) / (2.0 * step)
         assert np.linalg.norm(Hv - fd) <= 1e-6 * np.linalg.norm(Hv), delta
+
+
+def _kernel_passes(monkeypatch) -> list:
+    """Record y of every _kernel pass that torsion, hessians and spectrum
+    run, where each of them looks the kernel up."""
+    points, kernel = [], energy._kernel
+
+    def recorded(ctx, y, *args, **kwargs):
+        points.append(np.array(y))
+        return kernel(ctx, y, *args, **kwargs)
+
+    for module in (torsion, hessians, spectrum):
+        monkeypatch.setattr(module, "_kernel", recorded)
+    return points
+
+
+def test_a_prox_solve_takes_one_kernel_pass_per_newton_point(monkeypatch):
+    # value, gradient and band of a point come from one pass: the Hessian
+    # of an accepted point does not run the kernel again
+    passes = _kernel_passes(monkeypatch)
+    evaluations = []
+    refine = torsion.newton_refine
+
+    def recording(x0, evaluate, **kwargs):
+        def counted(x):
+            evaluations.append(None)
+            return evaluate(x)
+
+        return refine(x0, counted, **kwargs)
+
+    monkeypatch.setattr(torsion, "newton_refine", recording)
+    ctx, _, _, _ = _problem(2, 8, 1.5, seed=10)
+    rng = np.random.default_rng(10)
+    z = Field(ctx.grid, rng.standard_normal(ctx.grid.n_nodes))
+    _, rep = torsion.prox(z, 10.0, ctx.mu)
+    assert rep.converged and rep.iterations > 0
+    assert len(passes) == len(evaluations)
+
+
+def test_the_eigenpair_polish_takes_one_kernel_pass_per_point(monkeypatch):
+    # the start and each trial point of the line searches: the step from
+    # an accepted point reuses the pass that accepted it
+    g = GridSpec(2, 16, (1.0, 1.0), 3.0)
+    ctx = EnergyContext(g, zero_measure(g), lebesgue_weights(g))
+    rng = np.random.default_rng(11)
+    u = field_from_function(g, lambda x, y: np.sin(np.pi * x)
+                            * np.sin(np.pi * y))
+    u = Field(g, u.values * (1.0 + 0.2 * rng.random(u.values.shape)))
+    steps = []
+    solve = spla.spsolve
+
+    def counted(*args, **kwargs):
+        steps.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "spsolve", counted)
+    passes = _kernel_passes(monkeypatch)
+    _, field, _ = spectrum.polish_eigenpair(ctx, u)
+    assert spectrum.certify(ctx, field, spectrum.rayleigh(ctx, field))
+    assert len(steps) >= 2
+    # at least one trial point per step, each evaluated once
+    assert len(passes) > len(steps)
+    for i, y in enumerate(passes):
+        assert not any(np.array_equal(y, x) for x in passes[:i]), i
 
 
 def test_p2_pencil_matches_dense_oracle_1d():

@@ -34,6 +34,17 @@ def test_objective_eval_kinds():
                           [9.87, math.inf]) == math.inf
 
 
+def test_max_of_steers_by_its_lowest_top_index():
+    # values within 1e-12 of the top tie, and the lowest index wins
+    objective = ObjectiveSpec("max_of", 3)
+    assert objective.active_indices([1.0, 5.0, 2.0, 9.0]) == [2]
+    assert objective.active_indices(
+        [5.0 + 4e-12, 5.0, 5.0 + 5e-12, 9.0]) == [1]
+    assert objective.active_indices([1.0, 5.0 - 2e-11, 5.0]) == [3]
+    assert objective_eval(objective, [1.0, 5.0, 2.0, 9.0]) == 5.0
+    assert objective_eval(objective, [1.0, math.inf, 2.0]) == math.inf
+
+
 def test_objective_validation():
     with pytest.raises(ValueError):
         ObjectiveSpec("nope", 1)

@@ -21,6 +21,11 @@ def _quadratic(H, b):
     return lambda x: (0.5 * x @ (H @ x) - b @ x, H @ x - b)
 
 
+def _evaluate(value_and_grad, hessian):
+    """newton_refine's evaluate from a value_and_grad and a hessian(x)."""
+    return lambda x: (*value_and_grad(x), lambda: hessian(x))
+
+
 def test_newton_refine_takes_no_step_from_a_converged_start():
     # an iterate that already passes the gradient test must come back
     # unchanged: a Newton step from it predicts a decrease below rounding
@@ -28,7 +33,7 @@ def test_newton_refine_takes_no_step_from_a_converged_start():
     H, band = _tridiagonal(n)
     b = np.linspace(1.0, 2.0, n)
     x0 = spla.spsolve(H, b) + 1e-13 * np.cos(np.arange(n))
-    x, info = newton_refine(x0, _quadratic(H, b), lambda x: band)
+    x, info = newton_refine(x0, _evaluate(_quadratic(H, b), lambda x: band))
     assert info["converged"]
     assert info["iterations"] == 0
     assert np.array_equal(x, x0)
@@ -45,7 +50,8 @@ def test_newton_refine_solves_a_quadratic_with_one_banded_step():
         points.append(x.copy())
         return band
 
-    x, info = newton_refine(np.full(n, 50.0), _quadratic(H, b), hessian)
+    x, info = newton_refine(np.full(n, 50.0),
+                            _evaluate(_quadratic(H, b), hessian))
     assert info["converged"]
     # the first step from the far start lands on the banded solution
     np.testing.assert_allclose(points[1], exact, rtol=1e-13)
@@ -73,7 +79,7 @@ def test_newton_refine_shifts_an_indefinite_band_until_it_descends():
     x0 = np.zeros(n)
     with pytest.raises(np.linalg.LinAlgError):
         sla.cholesky_banded(hessian(x0))
-    x, info = newton_refine(x0, value_and_grad, hessian)
+    x, info = newton_refine(x0, _evaluate(value_and_grad, hessian))
     assert info["converged"]
     assert np.linalg.norm(value_and_grad(x)[1]) <= 1e-8
     sla.cholesky_banded(hessian(x))     # a minimum: positive definite
@@ -100,7 +106,7 @@ def test_newton_refine_lets_the_gradient_decide_below_the_resolution_of_f():
     f0, g0 = value_and_grad(x0)
     calls.clear()
     assert np.linalg.norm(g0) > 30 * 1e-8
-    x, info = newton_refine(x0, value_and_grad, lambda x: band)
+    x, info = newton_refine(x0, _evaluate(value_and_grad, lambda x: band))
     assert info["converged"]
     assert info["grad_norm"] <= 1e-8
     assert 1 <= info["iterations"] <= 3
@@ -118,4 +124,43 @@ def test_newton_refine_raises_on_a_band_of_the_wrong_shape():
     b = np.linspace(1.0, 2.0, n)
     wide = np.hstack([band, band[:, :1]])
     with pytest.raises(ValueError):
-        newton_refine(np.zeros(n), _quadratic(H, b), lambda x: wide)
+        newton_refine(np.zeros(n), _evaluate(_quadratic(H, b),
+                                             lambda x: wide))
+
+
+def test_newton_refine_stops_when_no_shift_gives_a_descending_step():
+    # a gradient of the wrong sign: each step along it climbs the
+    # quadratic, and no shift of the band brings an acceptable point
+    n = 20
+    H, band = _tridiagonal(n)
+    value_and_grad = _quadratic(H, np.linspace(1.0, 2.0, n))
+
+    def uphill(x):
+        f, g = value_and_grad(x)
+        return f, -g
+
+    x0 = np.full(n, 50.0)
+    x, info = newton_refine(x0, _evaluate(uphill, lambda x: band))
+    assert not info["converged"]
+    # stopped in its first iteration, before any decrease
+    assert info["iterations"] == 1
+    assert info["final_decrement"] == 0.0
+    assert np.array_equal(x, x0)
+    assert info["value"] == value_and_grad(x0)[0]
+
+
+def test_newton_refine_stops_unconverged_at_max_iter():
+    # the one step lands on the minimizer, but its decrease is far above
+    # tol_decrement: the stop test has not passed when max_iter is reached
+    n = 40
+    H, band = _tridiagonal(n)
+    value_and_grad = _quadratic(H, np.linspace(1.0, 2.0, n))
+    x0 = np.full(n, 50.0)
+    x, info = newton_refine(x0, _evaluate(value_and_grad, lambda x: band),
+                            max_iter=1)
+    f0, f1 = value_and_grad(x0)[0], value_and_grad(x)[0]
+    assert not info["converged"]
+    assert info["iterations"] == 1
+    assert info["final_decrement"] == (f0 - f1) / max(abs(f0), abs(f1))
+    assert info["value"] == f1
+    assert info["grad_norm"] <= 1e-8

@@ -254,14 +254,19 @@ def test_newton_steps_take_banded_hessians_from_one_term_list(monkeypatch):
         counted(module, name, calls)
     refine = torsion_module.newton_refine
 
-    def refine_recording(x0, value_and_grad, hessian, **kwargs):
+    def refine_recording(x0, evaluate, **kwargs):
         def banded(x):
-            band = hessian(x)
-            shapes.append(band.shape)
-            return band
+            f, g, hessian = evaluate(x)
+
+            def recorded():
+                band = hessian()
+                shapes.append(band.shape)
+                return band
+
+            return f, g, recorded
 
         start = len(calls)
-        out = refine(x0, value_and_grad, banded, **kwargs)
+        out = refine(x0, banded, **kwargs)
         assert calls[start:] == [], "a sparse solve inside newton_refine"
         return out
 
@@ -339,8 +344,8 @@ def test_p15_prox_ladder_does_not_stall(monkeypatch):
     refine = torsion_module.newton_refine
     capped = []
 
-    def recording(x0, value_and_grad, hessian, **kwargs):
-        x, info = refine(x0, value_and_grad, hessian, **kwargs)
+    def recording(x0, evaluate, **kwargs):
+        x, info = refine(x0, evaluate, **kwargs)
         if info["iterations"] >= kwargs.get("max_iter", 80):
             capped.append(info["iterations"])
         return x, info
