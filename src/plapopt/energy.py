@@ -77,6 +77,10 @@ class EnergyContext:
     def _rows(self) -> operators.Rows:
         return operators.energy_rows(self.grid, self.mu, self.weights)
 
+    @functools.cached_property
+    def _free(self) -> operators.FreeNodes:
+        return operators.FreeNodes(self.grid, self.mu, self.weights.w1_atoms)
+
 
 def _check_grid(ctx: EnergyContext, u: Field):
     if u.grid != ctx.grid:

@@ -9,8 +9,9 @@ The operators are built once per grid (and atom set) and cached; every
 caller shares them, so their arrays are marked read-only.  The stacked
 energy map K fixes the row layout that the energies integrate over; the
 weights of f, g1 and g2 on its rows, the diagonal of their Hessian
-weights and the term lists that every K_F^T W K_F is read from live here
-with it (sandwich, the sparse product, is the tests' reference).
+weights, their pattern and the term lists that every K_F^T W K_F is
+read from live here with it (sandwich, the sparse product, is the tests'
+reference), as does FreeNodes, a problem's view of its free nodes.
 """
 
 from __future__ import annotations
@@ -191,6 +192,20 @@ class Terms(NamedTuple):
         return np.bincount(self.slot, x, (bw + 1) * n).reshape(bw + 1, n)
 
 
+def pattern(grid: GridSpec, n_rows: int):
+    """Rows and columns (r, s) of the Hessian weights over K's n_rows, in
+    hessians.weights' order: the diagonal, then (p != 2) the entry (a, b)
+    of every cell's d x d axis block, axis a major."""
+    r = [np.arange(n_rows)]
+    s = list(r)
+    if grid.p != 2.0:
+        dim, nc = grid.dim, grid.n_cells
+        cells = np.arange(nc)
+        r += [a * nc + cells for a in range(dim) for _ in range(dim)]
+        s += [b * nc + cells for _ in range(dim) for b in range(dim)]
+    return np.concatenate(r), np.concatenate(s)
+
+
 def term_list(KF: sp.csr_matrix, r: np.ndarray, s: np.ndarray) -> Terms:
     """The terms of K_F^T W K_F for W with the pattern (r, s): every pair
     of stored entries K_F[r, i], K_F[s, j], pattern entry by entry."""
@@ -225,6 +240,23 @@ def term_list(KF: sp.csr_matrix, r: np.ndarray, s: np.ndarray) -> Terms:
 def free_node_mask(grid: GridSpec, mu: CapacitaryMeasure) -> np.ndarray:
     """Flat boolean mask of unconstrained interior nodes."""
     return ~blocked_adjacent_nodes(grid, mu.blocked).reshape(-1)
+
+
+class FreeNodes:
+    """A problem's free nodes idx, K_F = K[:, idx] with its transpose KT
+    (K.T would build a new csc on every product) and, built on first use,
+    the term list of K_F^T W K_F on the weights' pattern."""
+
+    def __init__(self, grid: GridSpec, mu: CapacitaryMeasure,
+                 w1_atoms: Atoms):
+        self.idx = np.flatnonzero(free_node_mask(grid, mu))
+        self.K = energy_map(grid, mu.atoms, w1_atoms)[:, self.idx]
+        self.KT = self.K.T
+        self.pattern = pattern(grid, self.K.shape[0])
+
+    @functools.cached_property
+    def terms(self) -> Terms:
+        return term_list(self.K, *self.pattern)
 
 
 def _embed(grid: GridSpec, idx: np.ndarray, x: np.ndarray) -> Field:

@@ -38,7 +38,6 @@ from plapopt.measure import CapacitaryMeasure, WeightPair
 from plapopt.energy import (
     EnergyContext,
     ConstraintViolation,
-    _energy_map,
     _field_parts,
     _kernel,
     rayleigh,
@@ -66,10 +65,8 @@ class InfeasibleSubspace(Exception):
 
 @dataclass(frozen=True)
 class SubspaceCandidate:
-    """Basis of an m-dimensional trial subspace.
-
-    The basis must be numerically independent: smallest singular value of
-    the stacked values at least 1e-8 times the largest.
+    """Basis of an m-dimensional trial subspace; sup_on_sphere reads it
+    on the free nodes.  The basis must be numerically independent.
     """
 
     basis: tuple[Field, ...]
@@ -81,9 +78,7 @@ class SubspaceCandidate:
         grid = basis[0].grid
         if any(b.grid != grid for b in basis):
             raise ValueError("basis fields on different grids")
-        mat = np.stack([b.flat for b in basis])
-        svals = np.linalg.svd(mat, compute_uv=False)
-        if svals[-1] < 1e-8 * svals[0]:
+        if not _independent(np.stack([b.flat for b in basis])):
             raise ValueError("basis is numerically dependent")
         object.__setattr__(self, "basis", basis)
 
@@ -254,29 +249,28 @@ def _pull(v, M):
 class _SubspaceEval:
     """f, g1, g2 and the Rayleigh ratio as functions of coordinates x.
 
-    The field is u = M x for a fixed linear map M: the transposed basis
-    of a subspace candidate (x are its coefficients) or the embedding of
-    the free nodes.  The energy kernel runs on (K M) x and the gradients
-    map back through (K M)^T, so every evaluation is one small matrix
-    product each way.  x may be one vector or a stack (S, m), one per row.
+    The free-node values are M x for a fixed linear map M: the transpose
+    of m rows of free-node values (x are coefficients) or the identity,
+    given as KM = K_F M.  The energy kernel runs on (K M) x and the
+    gradients map back through (K M)^T, so every evaluation is one small
+    matrix product each way.  x may be one vector or a stack (S, m).
     """
 
-    def __init__(self, ctx: EnergyContext, KM, violates: bool = False):
+    def __init__(self, ctx: EnergyContext, KM):
         self.ctx = ctx
         self.KM = KM
         self.KM_meas = KM[ctx._rows.n_grad:]
         self.m = KM.shape[1]
-        self.violates = violates
-
-    @classmethod
-    def of_candidate(cls, ctx: EnergyContext, cand: SubspaceCandidate):
-        V = cand.matrix()                      # (m, n_nodes)
-        badj = ctx.blocked_adjacent().reshape(-1)
-        return cls(ctx, _energy_map(ctx) @ V.T,
-                   bool(np.any(V[:, badj] != 0.0)))
 
     def parts(self, x):
         return _kernel(self.ctx, _push(self.KM, x))
+
+    def _denom_hessian(self, curv):
+        """Coefficient Hessians (S, m, m) of g1 - g2 from a pass's curv."""
+        rows, dim = self.ctx._rows, self.ctx.grid.dim
+        diag = operators.hessian_diagonal(dim, None, rows.g1 - rows.g2,
+                                          curv.hmeas, self.ctx.p)
+        return np.matmul(self.KM_meas.T * diag[:, None, :], self.KM_meas)
 
     def _second_order(self, X):
         """Kernel parts at the rows of X with the coefficient Hessians
@@ -293,17 +287,14 @@ class _SubspaceEval:
         grads = y[:, :rows.n_grad].reshape(len(X), dim, -1, 1)
         Z = (grads * KM[:rows.n_grad].reshape(dim, -1, self.m)).sum(axis=1)
         Hf += np.matmul(Z.transpose(0, 2, 1) * curv.hout[:, None, :], Z)
-        diag = operators.hessian_diagonal(dim, None, rows.g1 - rows.g2,
-                                          curv.hmeas, p)
-        Hd = np.matmul(self.KM_meas.T * diag[:, None, :], self.KM_meas)
-        return parts, Hf, Hd
+        return parts, Hf, self._denom_hessian(curv)
 
     def denom_stack(self, X):
         """Values (S,), gradients (S, m) and Hessians (S, m, m) of g1 - g2
         at the rows of X."""
-        parts, _, Hd = self._second_order(X)
-        return (parts.g1 - parts.g2,
-                _pull(parts.dg1 - parts.dg2, self.KM_meas), Hd)
+        parts, curv = _kernel(self.ctx, _push(self.KM, X), hess=True)
+        grad = _pull(parts.dg1 - parts.dg2, self.KM_meas)
+        return parts.g1 - parts.g2, grad, self._denom_hessian(curv)
 
     def _ratio_gradient(self, parts, val, denom):
         return (_pull(parts.df, self.KM)
@@ -448,7 +439,7 @@ def _sphere_min_denominator(ev: _SubspaceEval, starts) -> float:
 def _sphere_g1_floor(ev: _SubspaceEval) -> float:
     """A proven lower bound of g1 - g2 on the unit sphere if nu2 = 0, else 0.
 
-    Then g1 - g2 = g1 = |A xi|_p^p / p, A = C^(1/p) K_meas V^T on the r
+    Then g1 - g2 = g1 = |A xi|_p^p / p, A = C^(1/p) (K M)_meas on the r
     rows of positive weight c, and |A xi|_p^p >= r^min(0, 1 - p/2)
     sigma_min(A)^p on the unit sphere.
     """
@@ -472,16 +463,19 @@ def _sup_general(ev: _SubspaceEval, starts, opts: SolverOptions):
     return float(-val[best]), X[best]
 
 
-def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
-                  seed: int = 0,
+def sup_on_sphere(ctx: EnergyContext,
+                  candidate: SubspaceCandidate | np.ndarray, *, seed: int = 0,
                   options: SolverOptions | None = None,
                   _warm_xi: np.ndarray | None = None
                   ) -> tuple[float, np.ndarray]:
     """Supremum of the Rayleigh ratio over the candidate's unit sphere.
 
-    Returns (value, argmax coefficients).  Raises InfeasibleSubspace when
-    the sphere is not strictly inside the cone g1 - g2 > 0; for p = 2 the
-    value is the largest eigenvalue of the restricted m x m pencil.
+    The candidate may also be m rows of values on the N free nodes of
+    ctx, an (m, N) array; a SubspaceCandidate nonzero off them gives
+    (inf, e_1), the ratio being +inf there.  Returns (value, argmax
+    coefficients).  Raises InfeasibleSubspace when the sphere is not
+    strictly inside the cone g1 - g2 > 0; for p = 2 the value is the
+    largest eigenvalue of the restricted m x m pencil.
 
     For general p and m >= 2, a trust-region ascent runs from all starts
     (e_j and random unit vectors; a warm call uses the given point and the
@@ -491,18 +485,16 @@ def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
     stacked search descends g1 - g2.
     """
     opts = options or SolverOptions()
-    m = candidate.m
-    if candidate.grid != ctx.grid:
-        raise ValueError("candidate grid mismatch")
-    rng = np.random.default_rng(seed)
-    ev = _SubspaceEval.of_candidate(ctx, candidate)
-
-    if ev.violates:
-        # the ratio is +inf wherever a blocked-adjacent node is hit; the
-        # sphere still gives a (useless) upper bound
-        e1 = np.zeros(m)
-        e1[0] = 1.0
-        return math.inf, e1
+    rows = candidate
+    if isinstance(candidate, SubspaceCandidate):
+        if candidate.grid != ctx.grid:
+            raise ValueError("candidate grid mismatch")
+        V = candidate.matrix()
+        rows = V[:, ctx._free.idx]
+        if np.count_nonzero(rows) < np.count_nonzero(V):
+            return math.inf, np.eye(len(V))[0]
+    m = len(rows)
+    ev = _SubspaceEval(ctx, ctx._free.K @ rows.T)
 
     if ctx.p == 2.0:
         return _sup_on_sphere_p2(ev)
@@ -513,7 +505,7 @@ def sup_on_sphere(ctx: EnergyContext, candidate: SubspaceCandidate, *,
             raise InfeasibleSubspace("single ray outside the feasible cone")
         return val, np.array([1.0])
 
-    starts = _starts(m, opts.n_starts, rng)
+    starts = _starts(m, opts.n_starts, np.random.default_rng(seed))
     threshold = 1e-10 * _sphere_denominator_scale(ev)
     if _sphere_g1_floor(ev) <= threshold:
         feas_starts = starts if _warm_xi is None else starts[:m + 4]
@@ -567,41 +559,39 @@ def certify(ctx: EnergyContext, u: Field, lam: float) -> bool:
     return _certified(ctx, u, lam, res)
 
 
-def polish_eigenpair(ctx: EnergyContext, u: Field
+def polish_eigenpair(ctx: EnergyContext, x: np.ndarray
                      ) -> tuple[float, Field, float]:
-    """Damped Newton on (f'(u) - lambda (g1'-g2')(u), g1-g2-1) = 0.
-
-    A step reads residual and Hessian from the kernel pass that accepted
-    its point, through the call's one term list.  Returns (lambda, field,
-    residual); the input only needs to be a feasible approximation.
+    """Damped Newton on (f'(u) - lambda (g1'-g2')(u), g1-g2-1) = 0 over the
+    values x of u on the N free nodes of ctx, a vector (N,), from x scaled
+    to g1 - g2 = 1 and lambda the ratio there.  A step reads residual and
+    Hessian from the kernel pass that accepted its point, through ctx's
+    free-node term list.  Returns (lambda, field, residual), by rayleigh
+    and residual; the input only needs to be a feasible approximation.
     """
-    grid = ctx.grid
-    rows = ctx._rows
-    idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
-    ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
-    terms = operators.term_list(ev.KM,
-                                *hessians.pattern(ctx, ev.KM.shape[0]))
-    # v @ KM transposes KM on every call; KM.T @ v is the same product
-    KM_t, KM_meas_t = ev.KM.T, ev.KM_meas.T
-    u = _normalize(ctx, u)
-    lam = rayleigh(ctx, u)
+    rows, free = ctx._rows, ctx._free
+    KT_meas = free.KT[:, rows.n_grad:]
 
-    def at(x, lam: float):
-        """Eigen-equation residual on the free nodes, g1 - g2, g1, the
-        gradient of g1 - g2 and a function of W from one pass at x."""
-        y = ev.KM @ x
+    def at(x, lam=None):
+        """Eigen-equation residual on the free nodes, lambda (None: the
+        ratio at x), g1 - g2, g1, grad (g1 - g2) and W() from one pass."""
+        y = free.K @ x
         parts, curv = _kernel(ctx, y, hess=True)
-        gdiff = KM_meas_t @ (parts.dg1 - parts.dg2)
-        return (KM_t @ parts.df - lam * gdiff, parts.g1 - parts.g2,
-                parts.g1, gdiff, lambda: hessians.weights(
+        denom = parts.g1 - parts.g2
+        lam = parts.f / denom if lam is None else lam
+        gdiff = KT_meas @ (parts.dg1 - parts.dg2)
+        return (free.KT @ parts.df - lam * gdiff, lam, denom, parts.g1,
+                gdiff, lambda: hessians.weights(
                     ctx, y, curv, rows.f - lam * (rows.g1 - rows.g2)))
 
-    x = u.flat[idx]
-    best = (lam, u, residual(ctx, u, lam))
-    point = at(x, lam)
+    parts = _kernel(ctx, free.K @ x)
+    if parts.g1 - parts.g2 <= 0:
+        raise ConstraintViolation("cannot normalize an infeasible field")
+    x = x / (parts.g1 - parts.g2) ** (1.0 / ctx.p)
+    point = at(x)
+    best = (x, dual_norm(ctx, point[0]), point[2])
     for _ in range(NEWTON_MAX_ITER):
-        r, denom, _, gdiff, weights = point
-        J = sp.bmat([[terms.csr(weights()), -sp.csc_matrix(gdiff).T],
+        r, lam, denom, _, gdiff, weights = point
+        J = sp.bmat([[free.terms.csr(weights()), -sp.csc_matrix(gdiff).T],
                      [sp.csc_matrix(gdiff), None]], format="csc")
         rhs = -np.concatenate([r, [denom - 1.0]])
         # an exactly singular J gives NaN (and a MatrixRankWarning)
@@ -613,9 +603,8 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
         accepted = False
         for _ in range(30):
             x_new = x + step * delta[:-1]
-            lam_new = lam + step * delta[-1]
-            trial = at(x_new, lam_new)
-            r_new, denom, g1, _, _ = trial
+            trial = at(x_new, lam + step * delta[-1])
+            r_new, lam_new, denom, g1, _, _ = trial
             if denom > ctx.feasibility_tol(g1):
                 rn = np.concatenate([r_new, [denom - 1.0]])
                 if np.linalg.norm(rn) < res0 * (1.0 - 1e-4 * step):
@@ -624,17 +613,16 @@ def polish_eigenpair(ctx: EnergyContext, u: Field
             step *= 0.5
         if not accepted:
             break
-        x, lam, point = x_new, lam_new, trial
+        x, point = x_new, trial
         resn = dual_norm(ctx, r_new)
-        if resn < best[2]:
-            best = (lam, _embed(grid, idx, x), resn)
-        if resn <= 1e-14 * max(abs(lam), 1.0):
+        if resn < best[1]:
+            best = (x, resn, denom)
+        if resn <= 1e-14 * max(abs(lam_new), 1.0):
             break
-    _, field, _ = best
-    field = _normalize(ctx, field)
+    x, _, denom = best
+    field = _embed(ctx.grid, free.idx, x / denom ** (1.0 / ctx.p))
     lam = rayleigh(ctx, field)
-    resn = residual(ctx, field, lam)
-    return float(lam), field, float(resn)
+    return float(lam), field, float(residual(ctx, field, lam))
 
 
 # ----------------------------------------------------------------------
@@ -750,8 +738,8 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
     subspace exists for m > N, so those levels are infeasible, like every
     level above an infeasible one."""
     rng = np.random.default_rng(seed)
-    idx = np.flatnonzero(operators.free_node_mask(ctx.grid, ctx.mu))
-    ev = _SubspaceEval(ctx, _energy_map(ctx)[:, idx])
+    idx = ctx._free.idx
+    ev = _SubspaceEval(ctx, ctx._free.K)
 
     ctx2 = _p2_context(ctx)
     # ctx2 blocks the same cells, so its free nodes are idx too
@@ -766,7 +754,7 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
     levels = []
     for m in range(1, min(m_max, idx.size) + 1):
         prev = levels[-1][0] if levels else -math.inf
-        lower = [lev[1] for lev in levels]
+        lower = [lev[1].flat[idx] for lev in levels]
         level = _minimax_level(ev, idx, m, seeds, rng, opts, seed, prev,
                                lower)
         if level is None:
@@ -774,7 +762,8 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
         bound, lam, u, res = level
         # the span holds u, so its supremum is at least lam = R(u); the max
         # drops the round-off between the two ways of evaluating R
-        span = _span_bound(ctx, [*lower, u], seed + 101 * m, opts)
+        span = _span_bound(ctx, np.array([*lower, u.flat[idx]]),
+                           seed + 101 * m, opts)
         bound = min(bound, max(span, lam))
         status = FINITE if _certified(ctx, u, lam, res) else UNRESOLVED
         if _slides_below(lam, prev):
@@ -792,34 +781,30 @@ def _slides_below(lam: float, prev: float) -> bool:
     return lam < prev - 1e-9 * max(abs(prev), 1.0)
 
 
-def _independent(fields: list[Field]) -> bool:
-    """True when the fields are a numerically independent basis."""
-    try:
-        SubspaceCandidate(tuple(fields))
-    except ValueError:
-        return False
-    return True
+def _independent(rows: np.ndarray) -> bool:
+    """True when the smallest singular value of rows is at least 1e-8
+    times the largest."""
+    svals = np.linalg.svd(rows, compute_uv=False)
+    return not svals[-1] < 1e-8 * svals[0]
 
 
-def _span_bound(ctx: EnergyContext, fields: list[Field], seed: int,
+def _span_bound(ctx: EnergyContext, rows: np.ndarray, seed: int,
                 opts: SolverOptions) -> float:
-    """Supremum of the ratio over the span of the polished fields u_1..u_m,
-    an upper bound of level m; inf when that span is numerically
-    dependent or leaves the cone.  The search is cold: a warm start from
-    u_m stops at the critical value of u_m, below the supremum."""
-    try:
-        cand = SubspaceCandidate(tuple(fields))
-    except ValueError:
+    """Supremum of the ratio over the span of the free-node rows of the
+    polished fields u_1..u_m, an upper bound of level m; inf when that
+    span is numerically dependent or leaves the cone.  The search is cold:
+    a warm start from u_m stops at the critical value of u_m, below it."""
+    if not _independent(rows):
         return math.inf
     try:
-        return sup_on_sphere(ctx, cand, seed=seed, options=opts)[0]
+        return sup_on_sphere(ctx, rows, seed=seed, options=opts)[0]
     except InfeasibleSubspace:
         return math.inf
 
 
 def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
                    rng: np.random.Generator, opts: SolverOptions, seed: int,
-                   prev: float, lower: list[Field]):
+                   prev: float, lower: list[np.ndarray]):
     """Level m <= idx.size of the outer minimization; None when infeasible.
 
     The trial subspace is V, m orthonormal rows of values on the free
@@ -829,12 +814,12 @@ def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
     gradient of the ratio at the argmax xi V.  After the first accepted
     step the argmax is polished, and the level ends there when the pair
     certifies, lies at or below the descent bound, does not slide below
-    the previous level prev and is independent of the polished fields
-    lower of levels 1..m-1 (a polish that falls back onto a lower level's
-    eigenfield does not end the level).  Otherwise the descent runs to
-    max_outer_iter or a stall, and the last V is polished once more, so a
-    level makes at most two polishes.  Returns (descent bound, lambda,
-    field, residual).
+    the previous level prev and is independent of the free-node rows
+    lower of the polished fields of levels 1..m-1 (a polish that falls
+    back onto a lower level's eigenfield does not end the level).
+    Otherwise the descent runs to max_outer_iter or a stall, and the last
+    V is polished once more, so a level makes at most two polishes.
+    Returns (descent bound, lambda, field, residual).
     """
     ctx = ev.ctx
 
@@ -842,13 +827,8 @@ def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
         return np.linalg.qr(mat.T)[0].T
 
     def sup(V, warm_xi=None):
-        cand = SubspaceCandidate(tuple(_embed(ctx.grid, idx, row)
-                                       for row in V))
-        return sup_on_sphere(ctx, cand, seed=seed + 101 * m, options=opts,
+        return sup_on_sphere(ctx, V, seed=seed + 101 * m, options=opts,
                              _warm_xi=warm_xi)
-
-    def polish(V, xi):
-        return polish_eigenpair(ctx, _embed(ctx.grid, idx, xi @ V))
 
     def initial_subspaces():
         base = seeds[:m]
@@ -891,14 +871,14 @@ def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
         last, val, V, xi = val, val_new, V_new, xi_new
         polished = None
         if accepted_step is None:       # the first accepted step
-            polished = lam, u, res = polish(V, xi)
+            polished = lam, u, res = polish_eigenpair(ctx, xi @ V)
             if (_certified(ctx, u, lam, res) and lam <= val
                     and not _slides_below(lam, prev)
-                    and _independent([*lower, u])):
+                    and _independent(np.array([*lower, u.flat[idx]]))):
                 return val, lam, u, res
         accepted_step = step
         if last - val <= 1e-7 * max(abs(val), 1.0):
             break
 
-    lam, u, res = polished or polish(V, xi)
+    lam, u, res = polished or polish_eigenpair(ctx, xi @ V)
     return val, lam, u, res

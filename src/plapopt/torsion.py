@@ -36,7 +36,6 @@ from plapopt.grid import Field
 from plapopt.measure import CapacitaryMeasure, lebesgue_weights
 from plapopt.energy import (
     EnergyContext,
-    _energy_map,
     _kernel,
     _odd,
     abs_pow,
@@ -123,17 +122,13 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
     grad_scale.  Torsion passes only its load: it starts from the
     profile, and its scale is the dual norm of its gradient at 0, the
     load.  Every Hessian, the p = 2 one included, is summed into band
-    storage through the solve's one term list (operators.term_list).
+    storage through the term list of ctx's free-node view, built once.
     """
-    grid, rows, p = ctx.grid, ctx._rows, ctx.p
-    idx = np.flatnonzero(operators.free_node_mask(grid, ctx.mu))
+    grid, rows, p, free = ctx.grid, ctx._rows, ctx.p, ctx._free
+    idx, K, KT = free.idx, free.K, free.KT
     if idx.size == 0:
         return Field(grid, np.zeros(grid.n_nodes)), SolveReport(0, 0.0, True)
-    K = _energy_map(ctx)[:, idx]
-    # built once: K.T would build a new csc transpose on every evaluation
-    KT = K.T
-    pattern = hessians.pattern(ctx, K.shape[0])
-    terms = operators.term_list(K, *pattern)
+    terms = free.terms
     meas = slice(rows.n_grad, K.shape[0])
     # K's anchor rows are anchor_op's: the term's weights go there
     anchors = slice(rows.n_grad, rows.n_grad + grid.n_cells)
@@ -146,7 +141,7 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
         df[anchors] = d1
         g0 = KT @ df
         # the p = 2 weights, zero on the g g^T cell blocks
-        w = np.zeros(pattern[0].size)
+        w = np.zeros(free.pattern[0].size)
         w[:K.shape[0]] = operators.hessian_diagonal(
             grid.dim, rows.vol * rows.keep, rows.f, 1.0, 2.0)
         w[anchors] += curvature(None)

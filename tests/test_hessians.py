@@ -112,7 +112,7 @@ def test_band_terms_give_the_hessian_of_f(dim, n, p):
     ctx, free, values, _ = _problem(dim, n, p, seed=7)
     K = _energy_map(ctx)
     terms = operators.term_list(K[:, free],
-                                *hessians.pattern(ctx, K.shape[0]))
+                                *operators.pattern(ctx.grid, K.shape[0]))
     assert terms.bw < n and terms.indptr.size - 1 == free.size
     stages = [ctx]
     if p < 2.0:     # a smoothing stage of the p < 2 continuation
@@ -276,15 +276,15 @@ def test_p_below_2_ladder_stages_are_consistent(monkeypatch, dim, n):
 
 
 def _kernel_passes(monkeypatch) -> list:
-    """Record y of every _kernel pass that torsion, hessians and spectrum
-    run, where each of them looks the kernel up."""
+    """Record y of every _kernel pass that energy, torsion, hessians and
+    spectrum run, where each of them looks the kernel up."""
     points, kernel = [], energy._kernel
 
     def recorded(ctx, y, *args, **kwargs):
         points.append(np.array(y))
         return kernel(ctx, y, *args, **kwargs)
 
-    for module in (torsion, hessians, spectrum):
+    for module in (energy, torsion, hessians, spectrum):
         monkeypatch.setattr(module, "_kernel", recorded)
     return points
 
@@ -313,8 +313,12 @@ def test_a_prox_solve_takes_one_kernel_pass_per_newton_point(monkeypatch):
 
 
 def test_the_eigenpair_polish_takes_one_kernel_pass_per_point(monkeypatch):
-    # the start and each trial point of the line searches: the step from
-    # an accepted point reuses the pass that accepted it
+    # the input, its normalized start (which gives lambda and the start
+    # residual), each trial point of the line searches (the step from an
+    # accepted point reuses the pass that accepted it), and the result,
+    # where the public rayleigh and residual both run; here the result is
+    # the best trial, whose g1 - g2 of exactly 1 leaves it unscaled, so
+    # those two passes are the only repeats
     g = GridSpec(2, 16, (1.0, 1.0), 3.0)
     ctx = EnergyContext(g, zero_measure(g), lebesgue_weights(g))
     rng = np.random.default_rng(11)
@@ -330,13 +334,17 @@ def test_the_eigenpair_polish_takes_one_kernel_pass_per_point(monkeypatch):
 
     monkeypatch.setattr(spla, "spsolve", counted)
     passes = _kernel_passes(monkeypatch)
-    _, field, _ = spectrum.polish_eigenpair(ctx, u)
+    start = u.flat[free_node_mask(g, ctx.mu)]
+    _, field, _ = spectrum.polish_eigenpair(ctx, start)
+    passes = passes[:]
     assert spectrum.certify(ctx, field, spectrum.rayleigh(ctx, field))
     assert len(steps) >= 2
     # at least one trial point per step, each evaluated once
     assert len(passes) > len(steps)
-    for i, y in enumerate(passes):
-        assert not any(np.array_equal(y, x) for x in passes[:i]), i
+    repeated = [i for i, y in enumerate(passes)
+                if any(np.array_equal(y, x) for x in passes[:i])]
+    assert repeated == [len(passes) - 2, len(passes) - 1]
+    np.testing.assert_array_equal(passes[-2], passes[-1])
 
 
 def test_p2_pencil_matches_dense_oracle_1d():

@@ -554,6 +554,14 @@ def _sine_candidate(g, m):
         for j in range(1, m + 1)))
 
 
+def _rows_eval(ctx, cand):
+    """The inner supremum's evaluator on the candidate's free-node rows."""
+    from plapopt.spectrum import _SubspaceEval
+
+    free = ctx._free
+    return _SubspaceEval(ctx, free.K @ cand.matrix()[:, free.idx].T)
+
+
 def _theta_max(fun, count=2001):
     """Max of fun(theta) over [0, pi]: a dense scan, then a bounded Brent
     search on the bracket of the best scan point."""
@@ -598,10 +606,10 @@ def _reference_sup(ev, starts, opts):
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_block_ascent_repeats_the_per_start_loop(p):
-    from plapopt.spectrum import _SubspaceEval, _starts, _sup_general
+    from plapopt.spectrum import _starts, _sup_general
 
     ctx = _weighted_ctx(p, np.random.default_rng(22))
-    ev = _SubspaceEval.of_candidate(ctx, _sine_candidate(ctx.grid, 3))
+    ev = _rows_eval(ctx, _sine_candidate(ctx.grid, 3))
     starts = _starts(3, 16, np.random.default_rng(5))
     val, xi = _sup_general(ev, starts, FAST)
     ref_val, ref_xi = _reference_sup(ev, starts, FAST)
@@ -612,10 +620,10 @@ def test_block_ascent_repeats_the_per_start_loop(p):
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_descent_from_mirrored_starts_is_mirrored(p):
     # f, g1 and g2 are even, so -X runs the bit-mirrored path of X
-    from plapopt.spectrum import _SubspaceEval, _sphere_descent, _starts
+    from plapopt.spectrum import _sphere_descent, _starts
 
     ctx = _weighted_ctx(p, np.random.default_rng(24))
-    ev = _SubspaceEval.of_candidate(ctx, _sine_candidate(ctx.grid, 3))
+    ev = _rows_eval(ctx, _sine_candidate(ctx.grid, 3))
     X = _starts(3, 12, np.random.default_rng(6))
     for fun, tol in ((ev.neg_ratio_stack, 1e-11), (ev.denom_stack, 1e-14)):
         val, X_out = _sphere_descent(fun, X.copy(), 60, tol)
@@ -660,14 +668,13 @@ def _hessian_ctx(dim, n, p, rng):
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
 def test_coefficient_hessians_match_gradient_differences(dim, n, p):
     from plapopt.operators import free_node_mask
-    from plapopt.spectrum import _SubspaceEval
 
     rng = np.random.default_rng(26)
     ctx = _hessian_ctx(dim, n, p, rng)
     free = free_node_mask(ctx.grid, ctx.mu).reshape(-1)
     # positive fields and coefficients keep the measure rows off zero,
     # where |y|^(p-2) would make the differences inaccurate for p < 2
-    ev = _SubspaceEval.of_candidate(ctx, SubspaceCandidate(tuple(
+    ev = _rows_eval(ctx, SubspaceCandidate(tuple(
         embed(ctx, free, 0.5 + rng.random(free.sum())) for _ in range(3))))
     X = 0.5 + rng.random((4, 3))
     V = rng.standard_normal((4, 3))
@@ -686,7 +693,7 @@ def test_coefficient_hessians_match_gradient_differences(dim, n, p):
 
 def test_g1_floor_bounds_g1_on_the_sphere():
     from plapopt.energy import g_energy
-    from plapopt.spectrum import (_SubspaceEval, _sphere_denominator_scale,
+    from plapopt.spectrum import (_sphere_denominator_scale,
                                   _sphere_g1_floor, _sphere_min_denominator,
                                   _starts)
 
@@ -701,7 +708,7 @@ def test_g1_floor_bounds_g1_on_the_sphere():
         ctx = EnergyContext(g, zero_measure(g), WeightPair(g, w1, atoms))
         cand = SubspaceCandidate(tuple(
             Field(g, rng.standard_normal(g.n_nodes)) for _ in range(2)))
-        ev = _SubspaceEval.of_candidate(ctx, cand)
+        ev = _rows_eval(ctx, cand)
         floor = _sphere_g1_floor(ev)
         threshold = 1e-10 * _sphere_denominator_scale(ev)
         if floor <= threshold:
@@ -718,7 +725,7 @@ def test_g1_floor_bounds_g1_on_the_sphere():
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_sphere_crossing_the_cone_with_nu2_raises(p):
-    from plapopt.spectrum import _SubspaceEval, _sphere_g1_floor
+    from plapopt.spectrum import _sphere_g1_floor
 
     g = GridSpec(1, 16, (1.0,), p)
     left = np.arange(16) < 8
@@ -727,7 +734,7 @@ def test_sphere_crossing_the_cone_with_nu2_raises(p):
     x = g.axis_nodes()
     cand = SubspaceCandidate((Field(g, np.sin(2 * math.pi * x) * (x < 0.5)),
                               Field(g, np.sin(2 * math.pi * x) * (x > 0.5))))
-    assert _sphere_g1_floor(_SubspaceEval.of_candidate(ctx, cand)) == 0.0
+    assert _sphere_g1_floor(_rows_eval(ctx, cand)) == 0.0
     with pytest.raises(InfeasibleSubspace):
         sup_on_sphere(ctx, cand, seed=0)
 
@@ -841,7 +848,7 @@ def test_a_level_tries_each_initial_subspace_once(monkeypatch):
     bases = []
 
     def infeasible(ctx, candidate, **kwargs):
-        bases.append(candidate.matrix())
+        bases.append(candidate.copy())
         raise InfeasibleSubspace("patched")
 
     monkeypatch.setattr(spectrum_mod, "sup_on_sphere", infeasible)
@@ -854,6 +861,70 @@ def test_a_level_tries_each_initial_subspace_once(monkeypatch):
     for i in range(len(bases)):
         for j in range(i):
             assert not np.array_equal(bases[i], bases[j]), (i, j)
+
+
+def _blocked_ctx(p, rng):
+    """2D n = 8: a density, one blocked cell, a mu atom where p > dim,
+    w1 = 1 and w2 = 0.3 U(0, 1), so every field lies inside the cone."""
+    g = GridSpec(2, 8, (1.0, 1.0), p)
+    blocked = np.zeros(g.cells_shape, dtype=bool)
+    blocked[1, 5] = True
+    atoms = ((g.n_nodes // 2 + 1, 0.7),) if p > g.dim else ()
+    mu = CapacitaryMeasure(g, 2.0 * rng.random(g.cells_shape), blocked,
+                           atoms)
+    return EnergyContext(g, mu, WeightPair(g, 1.0, (),
+                                           0.3 * rng.random(g.cells_shape)))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_sup_on_sphere_reads_a_candidate_as_its_free_node_rows(p):
+    # the levels pass rows of free-node values; a candidate zero off the
+    # free nodes gives the same value and argmax, bit for bit
+    rng = np.random.default_rng(27)
+    ctx = _blocked_ctx(p, rng)
+    idx = np.flatnonzero(free_node_mask(ctx.grid, ctx.mu))
+    assert idx.size < ctx.grid.n_nodes
+    for m in (1, 2, 3):
+        rows = 0.5 + rng.random((m, idx.size))
+        cand = SubspaceCandidate(tuple(embed(ctx, idx, row) for row in rows))
+        val, xi = sup_on_sphere(ctx, cand, seed=2, options=FAST)
+        val_rows, xi_rows = sup_on_sphere(ctx, rows, seed=2, options=FAST)
+        assert math.isfinite(val) and val == val_rows
+        np.testing.assert_array_equal(xi, xi_rows)
+
+
+def test_a_candidate_nonzero_next_to_a_blocked_cell_gives_inf():
+    # the ratio is +inf wherever a blocked-adjacent node is hit
+    rng = np.random.default_rng(28)
+    ctx = _blocked_ctx(3.0, rng)
+    free = free_node_mask(ctx.grid, ctx.mu).reshape(-1)
+    values = 0.5 + rng.random((2, ctx.grid.n_nodes))
+    values[0, ~free] = 0.0
+    values[1, ~free] = 0.0
+    values[1, np.flatnonzero(~free)[0]] = 1.0
+    cand = SubspaceCandidate(tuple(Field(ctx.grid, v) for v in values))
+    val, xi = sup_on_sphere(ctx, cand, seed=0)
+    assert val == math.inf
+    np.testing.assert_array_equal(xi, [1.0, 0.0])
+
+
+def test_a_general_p_spectrum_builds_one_term_list(monkeypatch):
+    # every polish of every level sums its Jacobian through the term list
+    # of the context's free-node view; a first call on an equal context
+    # fills the p = 2 seed's cache, which is kept per grid
+    from plapopt import operators
+
+    eigen_minimax(plain_ctx(16, p=3.0, dim=2), 3, seed=1)
+    calls, real = [], operators.term_list
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(operators, "term_list", counted)
+    result = eigen_minimax(plain_ctx(16, p=3.0, dim=2), 3, seed=1)
+    assert result.statuses == ["finite"] * 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
