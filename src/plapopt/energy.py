@@ -240,7 +240,10 @@ def g_energy(ctx: EnergyContext, u: Field, which: int) -> float:
 
 def rayleigh(ctx: EnergyContext, u: Field) -> float:
     """f(u) / (g1(u) - g2(u)) on the feasible cone; 0-homogeneous."""
-    parts = _field_parts(ctx, u)
+    return _rayleigh(ctx, u, _field_parts(ctx, u))
+
+
+def _rayleigh(ctx: EnergyContext, u: Field, parts: _Parts) -> float:
     denom = parts.g1 - parts.g2
     if denom <= ctx.feasibility_tol(parts.g1):
         raise ConstraintViolation(
@@ -282,7 +285,10 @@ def residual(ctx: EnergyContext, u: Field, lam: float) -> float:
     Zero exactly when (u, lambda) solves the discrete eigen-equation on
     the feasible cone.
     """
-    parts = _field_parts(ctx, u)
+    return _residual(ctx, _field_parts(ctx, u), lam)
+
+
+def _residual(ctx: EnergyContext, parts: _Parts, lam: float) -> float:
     if parts.g1 - parts.g2 <= ctx.feasibility_tol(parts.g1):
         raise ConstraintViolation("residual needs a feasible field")
     r = _node_gradient(

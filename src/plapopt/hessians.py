@@ -10,9 +10,9 @@ every p > 1; a measure row of sum c |y|^p / p contributes the diagonal
 so the Newton model stays bounded near zeros of the field.
 
 weights() reads them from the kernel pass that gave the caller's value
-and gradient, and the Newton steps sum them through the term list of
-the problem's free-node view (operators.FreeNodes): torsion and prox
-into band storage, the eigenpair polish f - lambda (g1 - g2) into csr.
+and gradient; the Newton steps sum them through the term list of the
+free-node view (operators.FreeNodes): torsion and prox into band
+storage, the eigenpair polish f - lambda (g1 - g2) into its bordered csc.
 Every such W carries the Dirichlet term.  The reference Hessians that
 the tests check everything else against multiply W out
 (operators.sandwich): hessian_f the csr W that assemble builds on that

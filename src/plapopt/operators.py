@@ -179,11 +179,26 @@ class Terms(NamedTuple):
     def _products(self, weights: np.ndarray, t=slice(None)) -> np.ndarray:
         return self.ki[t] * (weights[self.w[t]] * self.kj[t])
 
+    def _data(self, weights: np.ndarray) -> np.ndarray:
+        return np.bincount(self.e, self._products(weights), self.indices.size)
+
     def csr(self, weights: np.ndarray) -> sp.csr_matrix:
         """K_F^T W K_F on its pattern, for W's values on the list's."""
         n = self.indptr.size - 1
-        data = np.bincount(self.e, self._products(weights), self.indices.size)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        return sp.csr_matrix((self._data(weights), self.indices, self.indptr),
+                             shape=(n, n))
+
+    def bordered(self, weights: np.ndarray, g, order) -> sp.csc_matrix:
+        """[[K_F^T W K_F, -g], [g^T, 0]] in csc as sp.bmat writes it: the
+        symmetric pattern's column j, then g[j] if nonzero; the last column
+        -g's nonzeros.  order is FreeNodes.csc_order."""
+        n, nz = self.indptr.size - 1, np.flatnonzero(g)
+        at, gz = self.indptr[nz + 1], g[nz]
+        ptr = self.indptr + np.searchsorted(nz, np.arange(n + 1))
+        return sp.csc_matrix(
+            (np.append(np.insert(self._data(weights)[order], at, gz), -gz),
+             np.append(np.insert(self.indices, at, n), nz),
+             np.append(ptr, ptr[-1] + nz.size)), shape=(n + 1, n + 1))
 
     def band(self, weights: np.ndarray) -> np.ndarray:
         """The upper band of K_F^T W K_F, for W's values on the list's."""
@@ -244,19 +259,24 @@ def free_node_mask(grid: GridSpec, mu: CapacitaryMeasure) -> np.ndarray:
 
 class FreeNodes:
     """A problem's free nodes idx, K_F = K[:, idx] with its transpose KT
-    (K.T would build a new csc on every product) and, built on first use,
-    the term list of K_F^T W K_F on the weights' pattern."""
+    (K.T would build a new csc on every product) and KT's measure rows;
+    built on first use, the term list of K_F^T W K_F and its csc order."""
 
     def __init__(self, grid: GridSpec, mu: CapacitaryMeasure,
                  w1_atoms: Atoms):
         self.idx = np.flatnonzero(free_node_mask(grid, mu))
         self.K = energy_map(grid, mu.atoms, w1_atoms)[:, self.idx]
         self.KT = self.K.T
+        self.KT_meas = self.KT[:, grid.dim * grid.n_cells:]
         self.pattern = pattern(grid, self.K.shape[0])
 
     @functools.cached_property
     def terms(self) -> Terms:
         return term_list(self.K, *self.pattern)
+
+    @functools.cached_property
+    def csc_order(self) -> np.ndarray:
+        return np.argsort(self.terms.indices, kind="stable")
 
 
 def _embed(grid: GridSpec, idx: np.ndarray, x: np.ndarray) -> Field:

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from plapopt.grid import GridSpec, Field
@@ -40,7 +39,8 @@ from plapopt.energy import (
     ConstraintViolation,
     _field_parts,
     _kernel,
-    rayleigh,
+    _rayleigh,
+    _residual,
     residual,
     dual_norm,
 )
@@ -565,11 +565,10 @@ def polish_eigenpair(ctx: EnergyContext, x: np.ndarray
     values x of u on the N free nodes of ctx, a vector (N,), from x scaled
     to g1 - g2 = 1 and lambda the ratio there.  A step reads residual and
     Hessian from the kernel pass that accepted its point, through ctx's
-    free-node term list.  Returns (lambda, field, residual), by rayleigh
-    and residual; the input only needs to be a feasible approximation.
+    free-node term list.  Returns (lambda, field, residual) by rayleigh and
+    residual from one pass; the input only needs to be feasible.
     """
     rows, free = ctx._rows, ctx._free
-    KT_meas = free.KT[:, rows.n_grad:]
 
     def at(x, lam=None):
         """Eigen-equation residual on the free nodes, lambda (None: the
@@ -578,7 +577,7 @@ def polish_eigenpair(ctx: EnergyContext, x: np.ndarray
         parts, curv = _kernel(ctx, y, hess=True)
         denom = parts.g1 - parts.g2
         lam = parts.f / denom if lam is None else lam
-        gdiff = KT_meas @ (parts.dg1 - parts.dg2)
+        gdiff = free.KT_meas @ (parts.dg1 - parts.dg2)
         return (free.KT @ parts.df - lam * gdiff, lam, denom, parts.g1,
                 gdiff, lambda: hessians.weights(
                     ctx, y, curv, rows.f - lam * (rows.g1 - rows.g2)))
@@ -591,8 +590,7 @@ def polish_eigenpair(ctx: EnergyContext, x: np.ndarray
     best = (x, dual_norm(ctx, point[0]), point[2])
     for _ in range(NEWTON_MAX_ITER):
         r, lam, denom, _, gdiff, weights = point
-        J = sp.bmat([[free.terms.csr(weights()), -sp.csc_matrix(gdiff).T],
-                     [sp.csc_matrix(gdiff), None]], format="csc")
+        J = free.terms.bordered(weights(), gdiff, free.csc_order)
         rhs = -np.concatenate([r, [denom - 1.0]])
         # an exactly singular J gives NaN (and a MatrixRankWarning)
         delta = spla.spsolve(J, rhs)
@@ -621,8 +619,9 @@ def polish_eigenpair(ctx: EnergyContext, x: np.ndarray
             break
     x, _, denom = best
     field = _embed(ctx.grid, free.idx, x / denom ** (1.0 / ctx.p))
-    lam = rayleigh(ctx, field)
-    return float(lam), field, float(residual(ctx, field, lam))
+    parts = _field_parts(ctx, field)
+    lam = _rayleigh(ctx, field, parts)
+    return float(lam), field, float(_residual(ctx, parts, lam))
 
 
 # ----------------------------------------------------------------------

@@ -979,6 +979,66 @@ def test_atom_only_nu1_off_centre_is_certified():
     assert result.statuses == ["finite"]
 
 
+def _polish_input(case):
+    """A problem and a perturbed positive start for the polish."""
+    rng = np.random.default_rng(5)
+    if case == "blocked_1d_p15":
+        g = GridSpec(1, 24, (1.0,), 1.5)
+        blocked = np.zeros(g.cells_shape, dtype=bool)
+        blocked[7] = True
+        ctx = EnergyContext(g, CapacitaryMeasure(g, 0.0, blocked),
+                            lebesgue_weights(g))
+        u = field_from_function(g, lambda x: np.sin(np.pi * x))
+    else:
+        g = GridSpec(2, 8, (1.0, 1.0), 3.0)
+        ctx = (atom_only_ctx(24) if case == "atom_only" else
+               EnergyContext(g, zero_measure(g), lebesgue_weights(g)))
+        u = field_from_function(g, lambda x, y: np.sin(np.pi * x)
+                                * np.sin(np.pi * y))
+    values = u.values * (1.0 + 0.2 * rng.random(u.values.shape))
+    return ctx, values.reshape(-1)[free_node_mask(g, ctx.mu)]
+
+
+@pytest.mark.parametrize("case", ["square_p3", "atom_only", "blocked_1d_p15"])
+def test_the_polish_writes_its_bordered_matrix_as_bmat_would(monkeypatch,
+                                                             case):
+    # J = [[H, -g], [g^T, 0]] from the free-node term list is sp.bmat's
+    # csc array for array (g's zeros left out: one nonzero for the atom),
+    # so SuperLU takes the same step bit for bit; sp.bmat is never called
+    import scipy.sparse as sp
+    from plapopt import operators, spectrum
+
+    ctx, x = _polish_input(case)
+    bmat, bordered, solve = sp.bmat, operators.Terms.bordered, spla.spsolve
+    built, solved = [], []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the polish called sp.bmat")
+
+    def recorded(terms, weights, g, order):
+        built.append((terms, weights.copy(), g.copy()))
+        return bordered(terms, weights, g, order)
+
+    def recording(J, rhs):
+        solved.append((J, rhs, solve(J, rhs)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(sp, "bmat", refused)
+    monkeypatch.setattr(operators.Terms, "bordered", recorded)
+    monkeypatch.setattr(spla, "spsolve", recording)
+    spectrum.polish_eigenpair(ctx, x)
+    assert len(built) == len(solved) >= 2
+    for (terms, weights, g), (J, rhs, delta) in zip(built, solved):
+        ref = bmat([[terms.csr(weights), -sp.csc_matrix(g).T],
+                    [sp.csc_matrix(g), None]], format="csc")
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(J, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert solve(ref, rhs).tobytes() == delta.tobytes()
+    if case == "atom_only":
+        assert all(np.count_nonzero(g) == 1 for _, _, g in built)
+
+
 def test_pencil_errors_propagate_from_the_general_p_seed(monkeypatch):
     import plapopt.spectrum as spectrum_mod
 
