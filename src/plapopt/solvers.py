@@ -1,7 +1,7 @@
 """Unconstrained minimization loops.
 
-newton_refine takes the convex solvers' damped Newton steps on a banded
-Hessian, which one evaluate(x) gives with the value and gradient at x;
+newton_refine is the package's one damped Newton loop: the convex solves
+pass it banded_step, the eigenpair polish a bordered sparse step.
 bb_minimize (Barzilai-Borwein, monotone Armijo) has no caller and is kept
 only for the benchmark tracer's span.  Callers work on flat vectors; the
 objective may be +inf outside a domain, the search backtracks.
@@ -109,69 +109,55 @@ def newton_refine(x0: np.ndarray, evaluate, *,
                   tol_grad: float = 1e-8,
                   grad_norm=None,
                   grad_scale: float = 1.0):
-    """Damped Newton with Levenberg shifts for a convex objective.
+    """Damped Newton with Levenberg shifts, the step taken from the caller.
 
-    ``evaluate(x)`` returns the value and gradient at x and a function
-    hessian() that builds, from the same evaluation, the Hessian at x
-    (called at accepted points only) in LAPACK upper band storage: an
-    (bw + 1, n) array whose entry [bw + i - j, j] is H[i, j] for
-    j - bw <= i <= j, so its last row is the diagonal (the layout of
-    scipy.linalg.cholesky_banded).  Each try costs a banded Cholesky
-    factorization, n bw^2 operations in n (bw + 1) memory.  A Hessian
-    that is not positive definite, or a step that does not descend, grows
-    a shift of the diagonal until the step descends.  The torsion and
-    prox solves run it from the p = 2 profile or from z, once per stage
-    of their p < 2 smoothing ladder.  A trial step whose predicted
-    decrease is below VALUE_RESOLUTION |f| is accepted when it lowers
-    grad_norm and raises f by at most that resolution (see the module
-    docstring).  Returns (x, info) as bb_minimize; a stop at max_iter or
-    with no descending step reports its last iteration and the relative
-    decrease of its last accepted step (0 before the first).
+    ``evaluate(x)`` returns the value f at x, the vector g whose grad_norm
+    the stop test reads, and step(shift): called at accepted points only,
+    it gives from the same evaluation the Newton direction at that
+    Levenberg shift with the slope of f along it, or None.  A step that
+    fails, does not descend or finds no acceptable point grows the shift
+    (0, then 1e-14 up by 10); an accepted one divides it by 4.  The search
+    halves the step at most 40 times, until it no longer moves x.  A trial
+    whose predicted decrease is below VALUE_RESOLUTION |f| is accepted
+    when it lowers grad_norm and raises f by at most that resolution (see
+    the module docstring).  Returns (x, info) as bb_minimize; a stop at
+    max_iter or with no descending step reports its last iteration and
+    the relative decrease of its last accepted step (0 before the first).
     """
     if grad_norm is None:
         grad_norm = lambda g: float(np.linalg.norm(g))
     x = np.asarray(x0, dtype=float).copy()
-    f, g, hessian = evaluate(x)
+    f, g, step = evaluate(x)
     gn = grad_norm(g)
     scale = max(abs(grad_scale), 1e-300)
     # no step taken yet: an iterate that passes the gradient test needs none
     decrement = 0.0
     lm = 0.0
-    it = 0
     for it in range(1, max_iter + 1):
         if gn <= tol_grad * scale and decrement <= tol_decrement:
             return x, _info(it - 1, min(decrement, tol_decrement), True,
                             f, gn)
-        band = hessian()
-        dscale = max(float(np.abs(band[-1]).max()), 1e-300)
         accepted = False
         for _ in range(25):
-            shifted = band.copy()
-            shifted[-1] += lm * dscale
-            try:
-                factor = sla.cholesky_banded(shifted, overwrite_ab=True,
-                                             check_finite=False)
-                d = sla.cho_solve_banded((factor, False), -g,
-                                         check_finite=False)
-            except np.linalg.LinAlgError:
-                d = None
-            if d is not None and np.all(np.isfinite(d)):
-                gd = float(np.dot(g, d))
-                if gd < 0:
-                    floor = VALUE_RESOLUTION * abs(f)
-                    step = 1.0
-                    for _ in range(40):
-                        x_new = x + step * d
-                        f_new, g_new, hessian_new = evaluate(x_new)
-                        accepted = math.isfinite(f_new) and (
-                            f_new <= f + 1e-4 * step * gd
-                            if -step * gd > floor else
-                            f_new <= f + floor and grad_norm(g_new) < gn)
-                        if accepted:
-                            break
-                        step *= 0.5
+            found = step(lm)
+            if found is not None and found[1] < 0:
+                d, gd = found
+                floor = VALUE_RESOLUTION * abs(f)
+                t = 1.0
+                for _ in range(40):
+                    x_new = x + t * d
+                    if np.array_equal(x_new, x):
+                        break           # t d no longer moves x
+                    f_new, g_new, step_new = evaluate(x_new)
+                    accepted = math.isfinite(f_new) and (
+                        f_new <= f + 1e-4 * t * gd
+                        if -t * gd > floor else
+                        f_new <= f + floor and grad_norm(g_new) < gn)
                     if accepted:
                         break
+                    t *= 0.5
+                if accepted:
+                    break
             lm = max(lm * 10.0, 1e-14)
         if not accepted:
             converged = gn <= tol_grad * scale
@@ -180,8 +166,32 @@ def newton_refine(x0: np.ndarray, evaluate, *,
         # a step accepted at the round-off floor may raise f within its
         # resolution: that is no decrease, not a negative one
         decrement = max(f - f_new, 0.0) / max(abs(f), abs(f_new), 1e-300)
-        x, f, g, hessian = x_new, f_new, g_new, hessian_new
+        x, f, g, step = x_new, f_new, g_new, step_new
         gn = grad_norm(g)
         lm = lm / 4.0 if lm > 1e-14 else 0.0
     converged = gn <= tol_grad * scale and decrement <= tol_decrement
     return x, _info(max_iter, decrement, converged, f, gn)
+
+
+def banded_step(g: np.ndarray, hessian):
+    """newton_refine's step(shift) for a convex objective with gradient g:
+    the Hessian from hessian(), built on the first call in LAPACK upper
+    band storage ([bw + i - j, j] holds H[i, j], the last row the
+    diagonal), shifted by shift max|diag H|, by banded Cholesky (n bw^2
+    operations); None when the shifted band is not positive definite."""
+    band = []
+
+    def step(shift):
+        if not band:
+            band.append(hessian())
+        shifted = band[0].copy()
+        shifted[-1] += shift * max(float(np.abs(band[0][-1]).max()), 1e-300)
+        try:
+            factor = sla.cholesky_banded(shifted, overwrite_ab=True,
+                                         check_finite=False)
+            d = sla.cho_solve_banded((factor, False), -g, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        return (d, float(np.dot(g, d))) if np.all(np.isfinite(d)) else None
+
+    return step

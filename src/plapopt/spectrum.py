@@ -47,11 +47,15 @@ from plapopt.energy import (
 from plapopt import operators
 from plapopt import hessians
 from plapopt.operators import _embed
+from plapopt.solvers import newton_refine
 
 M_MAX_LIMIT = 6
 DENSE_DOF_LIMIT = 1400
 CERT_TOL = 1e-6
 NEWTON_MAX_ITER = 60     # Newton steps of one eigenpair polish
+# The polish's stop relative to f'(u): its round-off floor, measured 4e-15
+# to 6e-12 at p >= 1.5 (at p = 1.2 the residual stalls near 1e-8)
+POLISH_FLOOR = 1e-11
 MAX_RESTARTS = 3         # initial subspaces of a level, the seed included
 
 FINITE = "finite"
@@ -561,65 +565,68 @@ def certify(ctx: EnergyContext, u: Field, lam: float) -> bool:
 
 def polish_eigenpair(ctx: EnergyContext, x: np.ndarray
                      ) -> tuple[float, Field, float]:
-    """Damped Newton on (f'(u) - lambda (g1'-g2')(u), g1-g2-1) = 0 over the
+    """Newton on F = (f'(u) - lambda (g1'-g2')(u), g1 - g2 - 1) = 0 over the
     values x of u on the N free nodes of ctx, a vector (N,), from x scaled
-    to g1 - g2 = 1 and lambda the ratio there.  A step reads residual and
-    Hessian from the kernel pass that accepted its point, through ctx's
-    free-node term list.  Returns (lambda, field, residual) by rayleigh and
-    residual from one pass; the input only needs to be feasible.
+    to g1 - g2 = 1 and lambda the ratio there, by solvers.newton_refine
+    with the merit |F| (inf off the cone).  A step solves [[H, -g],
+    [g^T, 0]] from its point's kernel pass through ctx's free-node term
+    list, with the loop's Levenberg shift on H's diagonal, until F's first
+    part is below POLISH_FLOOR times f'(u) at the start, in dual norm.
+    Returns (lambda, field, residual) by rayleigh and residual from the
+    last accepted point's pass; the input only needs to be feasible.
     """
+    import warnings
+
     rows, free = ctx._rows, ctx._free
-
-    def at(x, lam=None):
-        """Eigen-equation residual on the free nodes, lambda (None: the
-        ratio at x), g1 - g2, g1, grad (g1 - g2) and W() from one pass."""
-        y = free.K @ x
-        parts, curv = _kernel(ctx, y, hess=True)
-        denom = parts.g1 - parts.g2
-        lam = parts.f / denom if lam is None else lam
-        gdiff = free.KT_meas @ (parts.dg1 - parts.dg2)
-        return (free.KT @ parts.df - lam * gdiff, lam, denom, parts.g1,
-                gdiff, lambda: hessians.weights(
-                    ctx, y, curv, rows.f - lam * (rows.g1 - rows.g2)))
-
     parts = _kernel(ctx, free.K @ x)
-    if parts.g1 - parts.g2 <= 0:
+    denom = parts.g1 - parts.g2
+    if denom <= 0:
         raise ConstraintViolation("cannot normalize an infeasible field")
-    x = x / (parts.g1 - parts.g2) ** (1.0 / ctx.p)
-    point = at(x)
-    best = (x, dual_norm(ctx, point[0]), point[2])
-    for _ in range(NEWTON_MAX_ITER):
-        r, lam, denom, _, gdiff, weights = point
-        J = free.terms.bordered(weights(), gdiff, free.csc_order)
-        rhs = -np.concatenate([r, [denom - 1.0]])
-        # an exactly singular J gives NaN (and a MatrixRankWarning)
-        delta = spla.spsolve(J, rhs)
-        if not np.all(np.isfinite(delta)):
-            break
-        step = 1.0
-        res0 = np.linalg.norm(rhs)
-        accepted = False
-        for _ in range(30):
-            x_new = x + step * delta[:-1]
-            trial = at(x_new, lam + step * delta[-1])
-            r_new, lam_new, denom, g1, _, _ = trial
-            if denom > ctx.feasibility_tol(g1):
-                rn = np.concatenate([r_new, [denom - 1.0]])
-                if np.linalg.norm(rn) < res0 * (1.0 - 1e-4 * step):
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            break
-        x, point = x_new, trial
-        resn = dual_norm(ctx, r_new)
-        if resn < best[1]:
-            best = (x, resn, denom)
-        if resn <= 1e-14 * max(abs(lam_new), 1.0):
-            break
-    x, _, denom = best
-    field = _embed(ctx.grid, free.idx, x / denom ** (1.0 / ctx.p))
-    parts = _field_parts(ctx, field)
+    seen = []       # the last point evaluated and its kernel pass
+
+    def evaluate(z):
+        y = free.K @ z[:-1]
+        parts, curv = _kernel(ctx, y, hess=True)
+        seen[:] = z, parts
+        gdiff = free.KT_meas @ (parts.dg1 - parts.dg2)
+        r = free.KT @ parts.df - z[-1] * gdiff
+        denom = parts.g1 - parts.g2
+        F = np.append(r, denom - 1.0)
+        merit = float(np.linalg.norm(F))
+
+        def step(shift):
+            J = free.terms.bordered(hessians.weights(
+                ctx, y, curv, rows.f - z[-1] * (rows.g1 - rows.g2)),
+                gdiff, free.csc_order)
+            sigma = 0.0
+            if shift:
+                H_diag = J.diagonal()[:-1]
+                sigma = shift * max(float(np.abs(H_diag).max()), 1e-300)
+                J.setdiag(H_diag + sigma)
+            with warnings.catch_warnings():
+                # an exactly singular J gives NaN and a MatrixRankWarning
+                warnings.simplefilter("ignore", spla.MatrixRankWarning)
+                d = spla.spsolve(J, -F)
+            # the slope of |F| along d, from J d = -F - sigma [d_x, 0]
+            return None if not np.all(np.isfinite(d)) else (
+                d, -merit - sigma * float(r @ d[:-1]) / merit)
+
+        feasible = denom > ctx.feasibility_tol(parts.g1)
+        return (merit if feasible else math.inf), r, step
+
+    z, _ = newton_refine(
+        np.append(x / denom ** (1.0 / ctx.p), parts.f / denom), evaluate,
+        max_iter=NEWTON_MAX_ITER, tol_decrement=math.inf,
+        tol_grad=POLISH_FLOOR, grad_norm=lambda r: dual_norm(ctx, r),
+        grad_scale=dual_norm(ctx, free.KT @ parts.df)
+        / denom ** (1.0 - 1.0 / ctx.p))
+    at, parts = seen
+    if not np.array_equal(at, z):       # the loop ended on a rejected trial
+        parts = _kernel(ctx, free.K @ z[:-1])
+    denom = parts.g1 - parts.g2
+    field = _embed(ctx.grid, free.idx, z[:-1] / denom ** (1.0 / ctx.p))
+    if denom != 1.0:
+        parts = _field_parts(ctx, field)
     lam = _rayleigh(ctx, field, parts)
     return float(lam), field, float(_residual(ctx, parts, lam))
 

@@ -44,7 +44,7 @@ from plapopt.energy import (
 from plapopt import operators
 from plapopt.operators import _embed
 from plapopt import hessians
-from plapopt.solvers import newton_refine
+from plapopt.solvers import banded_step, newton_refine
 
 DEFAULT_TOL_DECREMENT = 1e-10
 DEFAULT_TOL_GRAD = 1e-8
@@ -99,7 +99,8 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
     rest of the objective on each anchor row's node, for a term that
     shapes its curvature by it (prox at p < 2); the p = 2 profile passes
     None.  One K product, kernel pass and term call give a Newton point's
-    value, gradient and Hessian (solvers.newton_refine's evaluate).
+    value, gradient and banded Hessian step (solvers.newton_refine's
+    evaluate, with solvers.banded_step).
 
     The p = 2 profile is one exact Newton step from 0 of the p = 2 energy
     plus the term's quadratic model at v = 0; at p = 2 it is the
@@ -186,7 +187,8 @@ def _convex_solve(ctx, term, z=None, grad_scale=None):
                 w[anchors] += curvature(lambda: K_anchor @ (KT @ rest))
                 return terms.band(w)
 
-            return f, KT @ df, hessian
+            g = KT @ df
+            return f, g, banded_step(g, hessian)
 
         return evaluate
 

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from plapopt.solvers import VALUE_RESOLUTION, newton_refine
+from plapopt.solvers import VALUE_RESOLUTION, banded_step, newton_refine
 
 
 def _tridiagonal(n):
@@ -22,8 +22,13 @@ def _quadratic(H, b):
 
 
 def _evaluate(value_and_grad, hessian):
-    """newton_refine's evaluate from a value_and_grad and a hessian(x)."""
-    return lambda x: (*value_and_grad(x), lambda: hessian(x))
+    """newton_refine's evaluate from a value_and_grad and a hessian(x),
+    with the banded step of the convex solves."""
+    def evaluate(x):
+        f, g = value_and_grad(x)
+        return f, g, banded_step(g, lambda: hessian(x))
+
+    return evaluate
 
 
 def test_newton_refine_takes_no_step_from_a_converged_start():
@@ -61,28 +66,35 @@ def test_newton_refine_solves_a_quadratic_with_one_banded_step():
 def test_newton_refine_shifts_an_indefinite_band_until_it_descends():
     # x^T H x / 2 + sum(x^4 / 4 - 3 x^2 / 2) - b^T x has the Hessian
     # H + diag(3 x^2 - 3), indefinite at the start x = 0: its Cholesky
-    # factor fails, and the shift grows until the step descends
+    # factor fails, and the shift grows until the step descends.  With L,
+    # the Laplacian of the path graph, in place of H and no -3 x^2 / 2,
+    # the Hessian at 0 is L, exactly singular (L 1 = 0): the eigenpair
+    # polish's case of a singular Newton matrix
     n = 20
     H, band = _tridiagonal(n)
+    L = H - sp.diags(np.r_[1.0, np.zeros(n - 2), 1.0], format="csc")
+    L_band = band.copy()
+    L_band[-1, [0, -1]] = 1.0
     b = np.linspace(1.0, 2.0, n)
 
-    def value_and_grad(x):
-        f, g = _quadratic(H, b)(x)
-        return (f + float(np.sum(x ** 4 / 4.0 - 1.5 * x ** 2)),
-                g + x ** 3 - 3.0 * x)
+    for M, M_band, c in ((H, band, 3.0), (L, L_band, 0.0)):
+        def value_and_grad(x):
+            f, g = _quadratic(M, b)(x)
+            return (f + float(np.sum(x ** 4 / 4.0 - 0.5 * c * x ** 2)),
+                    g + x ** 3 - c * x)
 
-    def hessian(x):
-        out = band.copy()
-        out[-1] += 3.0 * x ** 2 - 3.0
-        return out
+        def hessian(x):
+            out = M_band.copy()
+            out[-1] += 3.0 * x ** 2 - c
+            return out
 
-    x0 = np.zeros(n)
-    with pytest.raises(np.linalg.LinAlgError):
-        sla.cholesky_banded(hessian(x0))
-    x, info = newton_refine(x0, _evaluate(value_and_grad, hessian))
-    assert info["converged"]
-    assert np.linalg.norm(value_and_grad(x)[1]) <= 1e-8
-    sla.cholesky_banded(hessian(x))     # a minimum: positive definite
+        x0 = np.zeros(n)
+        with pytest.raises(np.linalg.LinAlgError):
+            sla.cholesky_banded(hessian(x0))
+        x, info = newton_refine(x0, _evaluate(value_and_grad, hessian))
+        assert info["converged"]
+        assert np.linalg.norm(value_and_grad(x)[1]) <= 1e-8
+        sla.cholesky_banded(hessian(x))     # a minimum: positive definite
 
 
 def test_newton_refine_lets_the_gradient_decide_below_the_resolution_of_f():

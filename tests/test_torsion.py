@@ -252,25 +252,25 @@ def test_newton_steps_take_banded_hessians_from_one_term_list(monkeypatch):
                          (operators, "p2_matrices"),
                          (torsion_module, "_convex_solve")):
         counted(module, name, calls)
-    refine = torsion_module.newton_refine
+    refine, banded_step = (torsion_module.newton_refine,
+                           torsion_module.banded_step)
+
+    def banded(g, hessian):
+        def recorded():
+            band = hessian()
+            shapes.append(band.shape)
+            return band
+
+        return banded_step(g, recorded)
 
     def refine_recording(x0, evaluate, **kwargs):
-        def banded(x):
-            f, g, hessian = evaluate(x)
-
-            def recorded():
-                band = hessian()
-                shapes.append(band.shape)
-                return band
-
-            return f, g, recorded
-
         start = len(calls)
-        out = refine(x0, banded, **kwargs)
+        out = refine(x0, evaluate, **kwargs)
         assert calls[start:] == [], "a sparse solve inside newton_refine"
         return out
 
     monkeypatch.setattr(torsion_module, "newton_refine", refine_recording)
+    monkeypatch.setattr(torsion_module, "banded_step", banded)
     rng = np.random.default_rng(0)
     for p, solve in ((3.0, torsion), (1.5, torsion), (2.0, torsion),
                      (3.0, lambda mu: prox(z, 10.0, mu)),
