@@ -13,12 +13,12 @@ accepted step.  With N free nodes no sphere of dimension m > N exists, so
 those levels are infeasible at every p.
 Reported eigenpairs are polished by a damped Newton iteration on the
 eigen-equation and certified through their residual.  A general-p level
+is finite when its pair certifies and is level m: between the previous
+level and the descent's bound, off the lower levels' eigenfields.  It
 polishes its argmax after the first accepted outer step and ends there
-when the pair certifies without leaving the level's bounds or falling
-back onto a lower level's eigenfield; otherwise it descends on and is
-polished again at the end.  Its reported subspace bound is the smaller
-of the descent's and the supremum over the span of the polished fields
-of levels 1..m.
+if that pair is finite, else descends on and polishes again at the end.
+Its subspace bound is the smaller of the descent's and the supremum over
+the span of the fields of levels 1..m (a finite lambda's if larger).
 
 All randomness derives from a caller seed, so repeated runs coincide.
 """
@@ -57,6 +57,7 @@ NEWTON_MAX_ITER = 60     # Newton steps of one eigenpair polish
 # to 6e-12 at p >= 1.5 (at p = 1.2 the residual stalls near 1e-8)
 POLISH_FLOOR = 1e-11
 MAX_RESTARTS = 3         # initial subspaces of a level, the seed included
+ROUNDOFF = 1e-9          # level order/level-m test, relative to max(|x|, 1)
 
 FINITE = "finite"
 INFEASIBLE = "infeasible"
@@ -114,8 +115,7 @@ class SpectralResult:
 
     def __post_init__(self):
         finite = [x for x in self.lambdas if math.isfinite(x)]
-        if any(b > a + 1e-9 * max(abs(a), 1.0)
-               for a, b in zip(finite[1:], finite[:-1])):
+        if any(b > a + _tol(a) for a, b in zip(finite[1:], finite[:-1])):
             raise ValueError("lambdas must be nondecreasing")
 
     def status_of(self, m: int) -> str:
@@ -136,7 +136,7 @@ class SolverOptions:
     basis-descent iterations of a level; each makes up to 6 warm inner
     searches, from twice the last accepted step down by factors of 4.  It
     is a cap, not a count: a level whose argmax, polished after the first
-    accepted step, certifies ends there.
+    accepted step, is finite ends there.
     """
 
     n_starts: int = 32
@@ -667,12 +667,10 @@ def eigen_minimax(ctx: EnergyContext, m_max: int, *, seed: int = 0,
 
     p = 2 values come straight from the pencil and are exact at linear
     algebra accuracy; levels the pencil's Lanczos iteration left
-    unconverged are unresolved.  For general p each level reports the best
-    subspace upper bound found (the smaller of the outer descent's and the
-    supremum over the span of the polished fields u_1..u_m), with the
-    eigenfield polished out of the inner argmax; levels are flagged
-    infeasible when no subspace sphere fits in the feasible cone and
-    unresolved when certification fails.
+    unconverged are unresolved.  For general p each level reports its
+    polished eigenpair and the best subspace upper bound found; it is
+    infeasible when no subspace sphere fits in the feasible cone, finite
+    when its pair certifies and is level m, and unresolved otherwise.
     """
     if not 1 <= m_max <= M_MAX_LIMIT:
         raise ValueError(f"m_max must be in 1..{M_MAX_LIMIT}")
@@ -742,7 +740,8 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
     by the eigenvectors of the p = 2 pencil or, without a p = 2
     counterpart, by the probes.  With N free nodes no m-dimensional
     subspace exists for m > N, so those levels are infeasible, like every
-    level above an infeasible one."""
+    level above an infeasible one.  A pair that fails _at_level is
+    unresolved at max(bound, previous level)."""
     rng = np.random.default_rng(seed)
     idx = ctx._free.idx
     ev = _SubspaceEval(ctx, ctx._free.K)
@@ -766,25 +765,31 @@ def _eigen_minimax_general(ctx: EnergyContext, m_max: int, seed: int,
         if level is None:
             break
         bound, lam, u, res = level
+        at_level = _at_level(lam, u.flat[idx], bound, prev, lower)
         # the span holds u, so its supremum is at least lam = R(u); the max
         # drops the round-off between the two ways of evaluating R
         span = _span_bound(ctx, np.array([*lower, u.flat[idx]]),
                            seed + 101 * m, opts)
         bound = min(bound, max(span, lam))
-        status = FINITE if _certified(ctx, u, lam, res) else UNRESOLVED
-        if _slides_below(lam, prev):
-            # the polished pair slid below the previous level; keep the
-            # ordering by reporting the subspace bound, uncertified
-            lam, status = max(bound, prev), UNRESOLVED
+        finite = at_level and _certified(ctx, u, lam, res)
+        lam = max(lam if at_level else bound, prev)
+        if finite and lam - bound <= _tol(bound):
+            bound = max(bound, lam)     # a finite lam's round-off excess
         # f, g1 and g2 are even, so the flip moves no lambda or residual
-        levels.append((float(max(lam, prev)), _positive_peak(u), float(res),
-                       status, float(bound)))
+        levels.append((float(lam), _positive_peak(u), float(res),
+                       FINITE if finite else UNRESOLVED, float(bound)))
     return _spectral_result(levels, m_max, INFEASIBLE)
 
 
-def _slides_below(lam: float, prev: float) -> bool:
-    """True when lam lies below the previous level prev beyond round-off."""
-    return lam < prev - 1e-9 * max(abs(prev), 1.0)
+def _at_level(lam, row, bound, prev, lower) -> bool:
+    """Level m's test of a polished pair: prev <= lam <= bound within
+    ROUNDOFF, and its free-node row off the rows lower of levels 1..m-1."""
+    return (prev - _tol(prev) <= lam <= bound + _tol(bound)
+            and _independent(np.array([*lower, row])))
+
+
+def _tol(x: float) -> float:
+    return ROUNDOFF * max(abs(x), 1.0)
 
 
 def _independent(rows: np.ndarray) -> bool:
@@ -819,13 +824,9 @@ def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
     rows, then fully random rows.  Each outer step moves V along the
     gradient of the ratio at the argmax xi V.  After the first accepted
     step the argmax is polished, and the level ends there when the pair
-    certifies, lies at or below the descent bound, does not slide below
-    the previous level prev and is independent of the free-node rows
-    lower of the polished fields of levels 1..m-1 (a polish that falls
-    back onto a lower level's eigenfield does not end the level).
-    Otherwise the descent runs to max_outer_iter or a stall, and the last
-    V is polished once more, so a level makes at most two polishes.
-    Returns (descent bound, lambda, field, residual).
+    certifies and passes _at_level (previous level prev, lower levels'
+    rows lower); else the descent runs to max_outer_iter or a stall and
+    the last V is polished.  Returns (descent bound, lambda, field, residual).
     """
     ctx = ev.ctx
 
@@ -878,9 +879,8 @@ def _minimax_level(ev: _SubspaceEval, idx: np.ndarray, m: int, seeds,
         polished = None
         if accepted_step is None:       # the first accepted step
             polished = lam, u, res = polish_eigenpair(ctx, xi @ V)
-            if (_certified(ctx, u, lam, res) and lam <= val
-                    and not _slides_below(lam, prev)
-                    and _independent(np.array([*lower, u.flat[idx]]))):
+            if (_certified(ctx, u, lam, res)
+                    and _at_level(lam, u.flat[idx], val, prev, lower)):
                 return val, lam, u, res
         accepted_step = step
         if last - val <= 1e-7 * max(abs(val), 1.0):

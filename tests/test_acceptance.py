@@ -222,8 +222,10 @@ def test_c06_monotonicity_suite():
 
 
 def test_general_p_levels_stay_below_their_subspace_bounds():
-    # criterion 06's p = 3 inputs and the 2D unit square at p = 3: a
-    # level's eigenvalue never exceeds the sup over its best subspace
+    # criterion 06's p = 3 inputs, the 2D unit square at p = 3 (n = 16 and
+    # 40) and the one-atom problem of configs/solve_dirac_p3.json: a
+    # level's eigenvalue never exceeds the sup over its best subspace, and
+    # a finite level's not even by round-off
     g3 = GridSpec(1, 16, (1.0,), 3.0)
     w3 = lebesgue_weights(g3)
     rng3 = np.random.default_rng(77)
@@ -233,12 +235,19 @@ def test_general_p_levels_stay_below_their_subspace_bounds():
                                     with_atoms=trial % 5 == 2)
         runs += [eigen_minimax(EnergyContext(g3, mu, w3), 3, seed=trial,
                                options=FAST) for mu in pair]
-    sq = GridSpec(2, 16, (1.0, 1.0), 3.0)
-    runs.append(eigen_minimax(
-        EnergyContext(sq, zero_measure(sq), lebesgue_weights(sq)), 3, seed=1))
+    for n in (16, 40):
+        sq = GridSpec(2, n, (1.0, 1.0), 3.0)
+        runs.append(eigen_minimax(EnergyContext(
+            sq, zero_measure(sq), lebesgue_weights(sq)), 3, seed=1))
+    line = GridSpec(1, 128, (2.0,), 3.0)
+    runs.append(eigen_minimax(EnergyContext(
+        line, zero_measure(line), WeightPair(line, 0.0, ((63, 1.0),))), 2))
     for r in runs:
-        for lam, bound in zip(r.lambdas, r.subspace_bounds):
-            if math.isfinite(lam):
+        for lam, bound, status in zip(r.lambdas, r.subspace_bounds,
+                                      r.statuses):
+            if status == "finite":
+                assert lam <= bound
+            elif math.isfinite(lam):
                 assert lam <= bound + 1e-9 * max(abs(lam), 1.0)
 
 

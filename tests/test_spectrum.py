@@ -832,13 +832,16 @@ def test_a_level_polishes_at_most_twice(monkeypatch):
 
 
 def test_a_finite_level_is_not_a_lower_levels_eigenfield():
-    # on the p = 1.5 square the first polish of level 3 falls back onto
-    # level 2's eigenfield, certified and at lambda2; that must not end
-    # level 3 as a finite pair
-    result = eigen_minimax(plain_ctx(16, p=1.5, dim=2), 3, seed=1)
-    for m in range(2, 4):
-        if result.status_of(m) == "finite":
-            SubspaceCandidate(tuple(result.eigenfields[:m]))
+    # on the n = 16, p = 1.5 square the first polish of level 3 falls back
+    # onto level 2's eigenfield, certified and at lambda2; that must not
+    # end level 3 as a finite pair.  On the n = 40, p = 3 square the
+    # descent of level 3 ends on level 2's eigenfield, and its last polish
+    # must not be reported finite either
+    for n, p in ((16, 1.5), (40, 3.0)):
+        result = eigen_minimax(plain_ctx(n, p=p, dim=2), 3, seed=1)
+        for m in range(2, 4):
+            if result.status_of(m) == "finite":
+                SubspaceCandidate(tuple(result.eigenfields[:m]))
 
 
 def test_a_level_tries_each_initial_subspace_once(monkeypatch):
